@@ -450,7 +450,15 @@ def _run_lr_verify(cfg, rng, threads):
     rows = list(rep.rows())
     for row in rows:
         row["distance"] = rep.distance
-    summary = {"experiment": "lr-verify", "certificate": _certificate_summary(rep)}
+    summary = {
+        "experiment": "lr-verify",
+        "certificate": _certificate_summary(rep),
+        "sweep": {
+            "route": series.info["route"],
+            "defect": float(series.info["defect"]),
+            "unitarity": float(series.info["unitarity"]),
+        },
+    }
     constants = {"bound_params": _params_record(p), "curve_labels": [c.label for c in curves]}
     return rows, summary, constants
 
@@ -770,7 +778,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a YAML experiment config")
-    p_run.add_argument("--out", default=".", help="output directory")
+    p_run.add_argument("-o", "--out", default=".", help="output directory")
     p_run.add_argument("--threads", type=int, default=None, help="worker threads")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
 

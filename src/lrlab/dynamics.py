@@ -10,7 +10,9 @@ agree exactly and the first check already converges.
 
 Heisenberg evolution is tau_{t,s}(A) = U(t,s)* A U(t,s); a sweep records
 the operator norm of [tau_{t,s}(A), B] over a time grid together with the
-support metadata that locality bounds consume.
+support metadata that locality bounds consume.  A sweep takes one of two
+routes: "eigh" diagonalises a constant H once and rotates phases in its
+eigenbasis; "magnus" runs the stepper above segment by segment.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "propagate",
     "heisenberg",
     "lr_sweep",
+    "commutator_norms",
     "CommutatorSeries",
 ]
 
@@ -163,6 +166,66 @@ class CommutatorSeries:
     info: dict = field(default_factory=dict)
 
 
+def commutator_norms(
+    h: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    times,
+    unitarity_tol: float = StepperSettings.unitarity_tol,
+):
+    """||[e^{iHt} A e^{-iHt}, B]|| at every t by one diagonalisation of H.
+
+    Returns (values, residual), where residual is the unitarity residual
+    of the eigenvectors; above ``unitarity_tol`` the sweep raises.
+    Hermitian pairs take the symmetric-eigenvalue fast path, since
+    i[A_t, B] is then Hermitian.
+    """
+    evals, vecs = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
+    residual = float(np.abs(vecs.conj().T @ vecs - np.eye(len(evals))).max())
+    if residual > unitarity_tol:
+        raise RuntimeError(f"unitarity residual {residual} above tolerance")
+    at = vecs.conj().T @ np.asarray(a, dtype=np.complex128) @ vecs
+    bt = vecs.conj().T @ np.asarray(b, dtype=np.complex128) @ vecs
+    herm = is_hermitian(np.asarray(a), 1e-12) and is_hermitian(np.asarray(b), 1e-12)
+    times = np.asarray(times, dtype=float)
+    vals = np.empty_like(times)
+    for k, t in enumerate(times):
+        phase = np.exp(1j * evals * t)
+        a_t = (phase[:, None] * at) * phase.conj()[None, :]
+        comm = a_t @ bt - bt @ a_t
+        if herm:
+            vals[k] = float(np.abs(np.linalg.eigvalsh(1j * comm)).max())
+        else:
+            vals[k] = float(op_norm(comm))
+    return vals, residual
+
+
+def _constant_sample(gen, times: np.ndarray, settings: StepperSettings):
+    """The matrix ``gen`` returns on the whole grid, if it is constant there.
+
+    Samples every node the stepper's first two resolutions would use on
+    each segment: its start and midpoint, and both Gauss nodes of every
+    step at n and at 2n steps, n being the stepper's own step count.  If
+    all samples are bitwise equal, both resolutions multiply out to
+    exp(-iH(t - s)), which is what the stepper would accept; any mismatch
+    returns None.
+    """
+    # a copy, since a generator may hand out one buffer it overwrites
+    h = np.array(gen(times[0]), dtype=np.complex128)
+    scale = max(1.0, op_norm(h))
+    for s, t in zip(times[:-1], times[1:]):
+        n = max(1, int(np.ceil(abs(t - s) * scale / settings.target_step_action)))
+        nodes = [s, 0.5 * (s + t)]
+        for steps in (n, 2 * n):
+            dt = (t - s) / steps
+            for k in range(steps):
+                t0 = s + k * dt
+                nodes += [t0 + (0.5 - _GAUSS_OFFSET) * dt, t0 + (0.5 + _GAUSS_OFFSET) * dt]
+        if not all(np.array_equal(gen(node), h) for node in nodes):
+            return None
+    return h
+
+
 def lr_sweep(
     model_or_gen,
     a: LocalOperator,
@@ -177,7 +240,15 @@ def lr_sweep(
     cut) or a bare generator callable t -> matrix.  Supports and parities
     are read off the operators; evolving an odd-odd pair is allowed but
     flagged, since no locality guarantee covers it.
+
+    A constant generator takes the "eigh" route (``commutator_norms``):
+    a Model whose interaction is ``TimeDependentInteraction.constant``, or
+    a callable that returns the same matrix at every node the stepper
+    would sample.  Everything else takes the "magnus" route.  The route
+    is recorded in ``info`` beside the defect and unitarity residual.
     """
+    settings = settings or StepperSettings()
+    times = np.asarray(list(times), dtype=float)
     if isinstance(model_or_gen, Model):
         m = model_or_gen
         onsite = m.onsite_matrix()
@@ -185,9 +256,11 @@ def lr_sweep(
         def gen(t):
             return assemble(m.interaction.sample(t), max_range=max_range) + onsite
 
+        h = gen(times[0]) if m.interaction.constant and times.size else None
         graph = m.ctx.graph
     else:
         gen = model_or_gen
+        h = _constant_sample(gen, times, settings) if times.size else None
         graph = a.ctx.graph
 
     flags = []
@@ -198,12 +271,19 @@ def lr_sweep(
     else:
         dist = set_distance(graph, a.support, b.support)
 
-    prop = Propagator(gen, settings)
-    times = np.asarray(list(times), dtype=float)
-    vals = np.empty_like(times)
-    for k, u in enumerate(prop.grid(times)):
-        evolved = heisenberg(u, a)
-        vals[k] = op_norm(evolved @ b.matrix - b.matrix @ evolved)
+    if h is not None:
+        _check_hermitian(h, settings.herm_tol)
+        vals, residual = commutator_norms(
+            h, a.matrix, b.matrix, times - times[0], settings.unitarity_tol
+        )
+        info = {"route": "eigh", "defect": 0.0, "unitarity": residual}
+    else:
+        prop = Propagator(gen, settings)
+        vals = np.empty_like(times)
+        for k, u in enumerate(prop.grid(times)):
+            evolved = heisenberg(u, a)
+            vals[k] = op_norm(evolved @ b.matrix - b.matrix @ evolved)
+        info = {"route": "magnus", "defect": prop.worst_defect, "unitarity": prop.worst_unitarity}
     return CommutatorSeries(
         times=times,
         values=vals,
@@ -213,5 +293,5 @@ def lr_sweep(
         norm_a=a.norm(),
         norm_b=b.norm(),
         flags=tuple(flags),
-        info={"defect": prop.worst_defect, "unitarity": prop.worst_unitarity},
+        info=info,
     )

@@ -54,7 +54,6 @@ __all__ = [
     "kato_generator",
     "hastings_generator",
     "flow_generator",
-    "flow_unitary",
     "automorphic_deviation",
 ]
 
@@ -414,11 +413,6 @@ def flow_generator(
         w = WeightFunction(gap, soft)
         return lambda s: hastings_generator(h_fn(s), dh_fn(s), w)
     raise ValueError("generator kind must be 'kato' or 'hastings'")
-
-
-def flow_unitary(d_fn, settings: StepperSettings | None = None) -> Propagator:
-    """Cached propagator for U'(s) = -i D(s) U(s), U(s0) = 1."""
-    return Propagator(d_fn, settings)
 
 
 def automorphic_deviation(

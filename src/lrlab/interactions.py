@@ -110,6 +110,8 @@ class TimeDependentInteraction:
     interval: tuple = (0.0, 1.0)
     # times where the norm supremum over the interval is attained exactly
     exact_sup_times: tuple = ()
+    # set only by ``constant``: sample(t) is the same Interaction for every t
+    constant: bool = False
 
     @classmethod
     def constant(cls, phi: Interaction, interval=(0.0, 1.0)):
@@ -119,6 +121,7 @@ class TimeDependentInteraction:
             derivative=lambda t: zero,
             interval=tuple(interval),
             exact_sup_times=(interval[0],),
+            constant=True,
         )
 
 
@@ -320,7 +323,7 @@ def random_two_body(
 ) -> Interaction:
     """Random even two-body interaction with (1+d)^(-alpha_tb) term norms.
 
-    Each kept pair receives a random combination of the eight even
+    Each kept pair receives a random combination of the seven even
     self-adjoint generators of its two-mode algebra (densities, exchange,
     and pairing quadratures), rescaled to the target norm.
     """

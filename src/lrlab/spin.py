@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundCurve, BoundParams, delta_cap
-from .dynamics import CommutatorSeries
+from .dynamics import CommutatorSeries, commutator_norms
 from .fock import build_context, ladder, number_operator
 from .interactions import model
 from .lattice import (
@@ -30,7 +30,7 @@ from .lattice import (
     set_distance,
     site_set,
 )
-from .linalg import is_hermitian, op_norm
+from .linalg import op_norm
 
 __all__ = [
     "SpinContext",
@@ -309,20 +309,8 @@ def commutator_series(
     """
     x = site_set(graph, x_region)
     y = site_set(graph, y_region)
-    evals, vecs = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
-    at = vecs.conj().T @ np.asarray(a, dtype=np.complex128) @ vecs
-    bt = vecs.conj().T @ np.asarray(b, dtype=np.complex128) @ vecs
-    herm = is_hermitian(np.asarray(a), 1e-12) and is_hermitian(np.asarray(b), 1e-12)
     times = np.asarray(list(times), dtype=float)
-    vals = np.empty_like(times)
-    for k, t in enumerate(times):
-        phase = np.exp(1j * evals * t)
-        a_t = (phase[:, None] * at) * phase.conj()[None, :]
-        comm = a_t @ bt - bt @ a_t
-        if herm:
-            vals[k] = float(np.abs(np.linalg.eigvalsh(1j * comm)).max())
-        else:
-            vals[k] = float(op_norm(comm))
+    vals, residual = commutator_norms(h, a, b, times)
     dist = 0 if set(x) & set(y) else set_distance(graph, x, y)
     return CommutatorSeries(
         times=times,
@@ -333,7 +321,7 @@ def commutator_series(
         norm_a=float(op_norm(a)),
         norm_b=float(op_norm(b)),
         flags=(),
-        info={"route": "eigh"},
+        info={"route": "eigh", "defect": 0.0, "unitarity": residual},
     )
 
 

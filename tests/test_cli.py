@@ -88,6 +88,9 @@ def test_lr_verify_run_end_to_end(tmp_path):
     rows, summary, prov = read_outputs(paths)
     assert summary["certificate"]["ok"] is True
     assert summary["certificate"]["violations"] == 0
+    assert summary["sweep"]["route"] == "eigh"
+    assert summary["sweep"]["defect"] == 0.0
+    assert summary["sweep"]["unitarity"] <= 1e-10
     assert len(rows) == 20
     # every row carries the provenance id of the constants used
     assert all(r["provenance"] == prov["id"] for r in rows)
@@ -196,5 +199,5 @@ def test_main_verbs(tmp_path, capsys):
     assert "level crossing" in capsys.readouterr().out
     assert main(["run", str(bad), "--out", str(tmp_path / "run")]) == 2
     run_dir = tmp_path / "run2"
-    assert main(["run", path, "--out", str(run_dir)]) == 0
+    assert main(["run", path, "-o", str(run_dir)]) == 0  # short form of --out
     assert (run_dir / "lppl-results.csv").exists()

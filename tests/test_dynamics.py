@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lrlab.dynamics import Propagator, StepperSettings, heisenberg, lr_sweep, propagate
 from lrlab.fock import build_context, ladder, number_operator
-from lrlab.interactions import Interaction, model
+from lrlab.interactions import Interaction, assemble, model, random_two_body
 from lrlab.lattice import build_lattice
 from lrlab.linalg import expm_hermitian
 
@@ -119,3 +121,69 @@ def test_settings_control_tolerance():
     loose = StepperSettings(tol=1e-6)
     u, info = propagate(lambda t: h + t * np.eye(4), 0.0, 1.0, loose)
     assert info["defect"] <= 1e-6
+
+
+def stepper_values(gen, a, b, times):
+    """The magnus route spelled out: grid propagators, then commutators."""
+    out = []
+    for u in Propagator(gen).grid(times):
+        evolved = heisenberg(u, a)
+        out.append(np.linalg.norm(evolved @ b.matrix - b.matrix @ evolved, 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("probe", ["number", "ladder"])
+def test_constant_callable_takes_eigh_route(probe):
+    ctx = build_context(build_lattice("path", 5))
+    phi = random_two_body(ctx, np.random.default_rng(11), alpha_tb=3.0, strength=0.4)
+    h = assemble(phi)
+    gen = lambda t: h
+    a = number_operator(ctx, [0])
+    b = number_operator(ctx, [4]) if probe == "number" else ladder(ctx, 4)
+    times = np.linspace(0.0, 0.3, 20)
+    series = lr_sweep(gen, a, b, times)
+    assert series.info["route"] == "eigh"
+    assert series.info["defect"] == 0.0
+    assert series.info["unitarity"] <= 1e-10
+    assert np.abs(series.values - stepper_values(gen, a, b, times)).max() < 1e-9
+
+
+def test_generator_constant_only_on_grid_takes_magnus_route():
+    rng = np.random.default_rng(12)
+    ctx = build_context(build_lattice("path", 3))
+    h = assemble(random_two_body(ctx, rng, alpha_tb=2.0))
+    hb = assemble(random_two_body(ctx, rng, alpha_tb=2.0))
+    dt = 0.1
+    times = dt * np.arange(6)
+    # bitwise H at every grid time, since t - round(t/dt) dt is exactly 0
+    # there, but not in between
+    gen = lambda t: h + np.sin(np.pi * (t - np.round(t / dt) * dt) / dt) * hb
+    a, b = number_operator(ctx, [0]), number_operator(ctx, [2])
+    series = lr_sweep(gen, a, b, times)
+    assert series.info["route"] == "magnus"
+    assert np.array_equal(series.values, stepper_values(gen, a, b, times))
+
+
+def test_constant_non_selfadjoint_generator_rejected():
+    ctx = build_context(build_lattice("path", 2))
+    bad = ladder(ctx, 0).matrix
+    with pytest.raises(ValueError, match="self-adjoint"):
+        lr_sweep(lambda t: bad, number_operator(ctx, [0]), number_operator(ctx, [1]), [0.0, 0.1])
+
+
+def test_constant_model_takes_eigh_route_with_one_sample():
+    ctx = build_context(build_lattice("path", 4))
+    m = model("atomic_limit", ctx, mu=[0.3, -0.2, 0.5, 0.1], J=0.7, alpha_tb=2.0)
+    calls = []
+    sample = m.interaction.sample
+    m.interaction.sample = lambda t: calls.append(t) or sample(t)
+    a, b = number_operator(ctx, [0]), ladder(ctx, 3)
+    times = np.linspace(0.0, 0.5, 11)
+    series = lr_sweep(m, a, b, times, max_range=3)
+    assert series.info["route"] == "eigh"
+    assert len(calls) == 1
+    # the same model marked time-dependent goes through the stepper
+    m_td = dataclasses.replace(m, interaction=dataclasses.replace(m.interaction, constant=False))
+    stepped = lr_sweep(m_td, a, b, times, max_range=3)
+    assert stepped.info["route"] == "magnus"
+    assert np.abs(series.values - stepped.values).max() < 1e-9
