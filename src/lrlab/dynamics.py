@@ -241,11 +241,11 @@ def lr_sweep(
     are read off the operators; evolving an odd-odd pair is allowed but
     flagged, since no locality guarantee covers it.
 
-    A constant generator takes the "eigh" route (``commutator_norms``):
-    a Model whose interaction is ``TimeDependentInteraction.constant``, or
-    a callable that returns the same matrix at every node the stepper
-    would sample.  Everything else takes the "magnus" route.  The route
-    is recorded in ``info`` beside the defect and unitarity residual.
+    A generator that returns the same matrix at every node the stepper
+    would sample (``_constant_sample``) takes the "eigh" route
+    (``commutator_norms``); everything else takes the "magnus" route.  A
+    Model is probed through its assembled H(t) like a bare callable.  The
+    route is recorded in ``info`` beside the defect and unitarity residual.
     """
     settings = settings or StepperSettings()
     times = np.asarray(list(times), dtype=float)
@@ -256,12 +256,11 @@ def lr_sweep(
         def gen(t):
             return assemble(m.interaction.sample(t), max_range=max_range) + onsite
 
-        h = gen(times[0]) if m.interaction.constant and times.size else None
         graph = m.ctx.graph
     else:
         gen = model_or_gen
-        h = _constant_sample(gen, times, settings) if times.size else None
         graph = a.ctx.graph
+    h = _constant_sample(gen, times, settings) if times.size else None
 
     flags = []
     if a.parity != "even" and b.parity != "even":

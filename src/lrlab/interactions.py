@@ -110,8 +110,6 @@ class TimeDependentInteraction:
     interval: tuple = (0.0, 1.0)
     # times where the norm supremum over the interval is attained exactly
     exact_sup_times: tuple = ()
-    # set only by ``constant``: sample(t) is the same Interaction for every t
-    constant: bool = False
 
     @classmethod
     def constant(cls, phi: Interaction, interval=(0.0, 1.0)):
@@ -121,7 +119,6 @@ class TimeDependentInteraction:
             derivative=lambda t: zero,
             interval=tuple(interval),
             exact_sup_times=(interval[0],),
-            constant=True,
         )
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -171,19 +169,32 @@ def test_constant_non_selfadjoint_generator_rejected():
         lr_sweep(lambda t: bad, number_operator(ctx, [0]), number_operator(ctx, [1]), [0.0, 0.1])
 
 
-def test_constant_model_takes_eigh_route_with_one_sample():
+def model_generator(m, max_range=None):
+    onsite = m.onsite_matrix()
+    return lambda t: assemble(m.interaction.sample(t), max_range=max_range) + onsite
+
+
+def test_constant_model_takes_eigh_route():
     ctx = build_context(build_lattice("path", 4))
     m = model("atomic_limit", ctx, mu=[0.3, -0.2, 0.5, 0.1], J=0.7, alpha_tb=2.0)
-    calls = []
-    sample = m.interaction.sample
-    m.interaction.sample = lambda t: calls.append(t) or sample(t)
     a, b = number_operator(ctx, [0]), ladder(ctx, 3)
     times = np.linspace(0.0, 0.5, 11)
     series = lr_sweep(m, a, b, times, max_range=3)
     assert series.info["route"] == "eigh"
-    assert len(calls) == 1
-    # the same model marked time-dependent goes through the stepper
-    m_td = dataclasses.replace(m, interaction=dataclasses.replace(m.interaction, constant=False))
-    stepped = lr_sweep(m_td, a, b, times, max_range=3)
-    assert stepped.info["route"] == "magnus"
-    assert np.abs(series.values - stepped.values).max() < 1e-9
+    want = stepper_values(model_generator(m, max_range=3), a, b, times)
+    assert np.abs(series.values - want).max() < 1e-9
+
+
+def test_time_dependent_model_takes_magnus_route():
+    rng = np.random.default_rng(13)
+    ctx = build_context(build_lattice("path", 3))
+    phi_a = random_two_body(ctx, rng, alpha_tb=2.0)
+    phi_b = random_two_body(ctx, rng, alpha_tb=2.0)
+    m = model("interpolation", ctx, phi_a=phi_a, phi_b=phi_b)
+    assert not np.array_equal(assemble(phi_a), assemble(phi_b))
+    a, b = number_operator(ctx, [0]), number_operator(ctx, [2])
+    times = np.linspace(0.0, 1.0, 6)
+    series = lr_sweep(m, a, b, times)
+    assert series.info["route"] == "magnus"
+    assert series.info["defect"] > 0.0
+    assert np.array_equal(series.values, stepper_values(model_generator(m), a, b, times))
