@@ -9,8 +9,9 @@ Five experiment families behind three verbs:
 Every run writes a row-oriented CSV, a machine-readable summary, and a
 provenance record carrying all constants and conventions that produced
 the numbers; each CSV row ends with the provenance id.  Identical config
-and seed give byte-identical files at any parallelism degree: reductions
-happen in grid order and nothing timestamps the output.
+and seed give byte-identical files: reductions happen in grid order and
+nothing timestamps the output.  The ``threads`` setting is validated and
+accepted but runs are serial, so it cannot change a result.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,7 @@ from .flow import (
     kato_generator,
     sector_gap,
 )
-from .fock import DEFAULT_DIM_CAP, build_context, ladder, number_operator
+from .fock import DEFAULT_DIM_CAP, build_context, dim_cap, ladder, number_operator
 from .interactions import Interaction, assemble, model, random_two_body
 from .lattice import build_lattice
 from .lppl import lppl_measure, perturbed_atomic_chain
@@ -54,7 +54,7 @@ from .spin import (
     trick_bound,
 )
 
-__all__ = ["Finding", "ConfigError", "validate_config", "run_config", "main"]
+__all__ = ["Finding", "ConfigError", "shape_findings", "validate_config", "run_config", "main"]
 
 KINDS = ("lr-verify", "bound-curves", "spectral-flow", "lppl", "spin-compare")
 
@@ -98,8 +98,112 @@ def load_config(path: str) -> dict:
 # validation (pure; never computes)
 
 
-def _dim_cap() -> int:
-    return int(os.environ.get("LRLAB_DIM_CAP", DEFAULT_DIM_CAP))
+# value shapes the runners read, per field; a tuple lists alternatives, a
+# dict a mapping's known keys and a one-element list a list's items
+_NUMBER, _INTEGER, _TEXT = "a number", "an integer", "a string"
+_CURVE = (_TEXT, {
+    "family": _TEXT, "max_range": _NUMBER, "split_range": _NUMBER,
+    "sigma": _NUMBER, "constant": _NUMBER, "depth": _INTEGER,
+})
+_OBSERVABLE = {"kind": _TEXT, "site": _INTEGER, "sites": [_INTEGER]}
+_SHAPES = {
+    "lattice": {"kind": _TEXT, "n": _INTEGER},
+    "alpha": _NUMBER,
+    "curves": [_CURVE],
+    "model": {
+        "name": _TEXT, "J": _NUMBER, "alpha_tb": _NUMBER,
+        "strength": _NUMBER, "pair_fraction": _NUMBER,
+    },
+    "observables": {"a": _OBSERVABLE, "b": _OBSERVABLE, "x": [_INTEGER], "y": [_INTEGER]},
+    "grid": {},
+    "slack": _NUMBER,
+    "tolerance": _NUMBER,
+    "fields": [_NUMBER],
+    "gap": {"g": _NUMBER, "delta": _NUMBER},
+    "generators": [_TEXT],
+    "hopping": {"J": _NUMBER, "alpha_tb": _NUMBER},
+    "chain": {
+        "n": _INTEGER, "site": _INTEGER, "alpha_tb": _NUMBER, "hop": _NUMBER,
+        "base_field": _NUMBER, "field_step": _NUMBER, "strength": _NUMBER,
+    },
+    "spin": {
+        "local_dim": _INTEGER, "model": _TEXT, "strength": _NUMBER,
+        "field_strength": _NUMBER, "coupling": _NUMBER, "transverse": _NUMBER,
+    },
+    "base_curve": _CURVE,
+}
+
+
+def _fits(value, scalar: str) -> bool:
+    if scalar == _TEXT:
+        return isinstance(value, str)
+    if isinstance(value, (bool, list, dict)) or value is None:
+        return False
+    try:
+        (int if scalar == _INTEGER else float)(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _describe(shape) -> str:
+    if isinstance(shape, tuple):
+        return " or ".join(_describe(s) for s in shape)
+    if isinstance(shape, dict):
+        return "a mapping"
+    if isinstance(shape, list):
+        return "a list"
+    return shape
+
+
+def _value_findings(field: str, value, shape) -> list:
+    if isinstance(shape, tuple):
+        # a mapping is held to the mapping alternative, which names the bad key
+        for alt in shape:
+            if isinstance(alt, dict) and isinstance(value, dict):
+                return _value_findings(field, value, alt)
+        if any(not _value_findings(field, value, alt) for alt in shape):
+            return []
+    elif isinstance(shape, dict):
+        if isinstance(value, dict):
+            return [
+                f for key, sub in shape.items() if key in value
+                for f in _value_findings(f"{field}.{key}", value[key], sub)
+            ]
+    elif isinstance(shape, list):
+        if isinstance(value, list):
+            return [
+                f for k, item in enumerate(value)
+                for f in _value_findings(f"{field}[{k}]", item, shape[0])
+            ]
+    elif _fits(value, shape):
+        return []
+    return [Finding(field, f"expected {_describe(shape)}, got {value!r}")]
+
+
+def shape_findings(cfg: dict) -> list:
+    """Fields whose values have the wrong type for any experiment to read.
+
+    Absent fields are left to the domain checks of ``validate_config``.
+    """
+    return [
+        f for name, shape in _SHAPES.items() if name in cfg
+        for f in _value_findings(name, cfg[name], shape)
+    ]
+
+
+def _cap_findings(field: str, base: int, n: int) -> list:
+    cap = dim_cap()
+    # beyond cap.bit_length(), base^n >= 2^n > cap; huge n is never raised to
+    if n <= cap.bit_length():
+        if base**n <= cap:
+            return []
+        size = f"{base}^{n} = {base**n}"
+    else:
+        size = f"{base}^{n}"
+    return [
+        Finding(field, f"dimension cap exceeded: {size} > {cap} (override with LRLAB_DIM_CAP)")
+    ]
 
 
 def _grid_findings(field: str, spec, need_start_zero=False) -> list:
@@ -109,7 +213,7 @@ def _grid_findings(field: str, spec, need_start_zero=False) -> list:
     try:
         start, stop = float(spec["start"]), float(spec["stop"])
         count = int(spec["count"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return [Finding(field, "expected numeric start, stop and integer count")]
     if count < 2:
         out.append(Finding(field, "needs at least 2 grid points"))
@@ -174,29 +278,23 @@ def _lattice_findings(cfg, sites_per_state: int) -> list:
         return out
     if lat["kind"] in ("square_patch", "square_torus"):
         n = n * n
-    dim = sites_per_state**n
-    cap = _dim_cap()
-    if dim > cap:
-        out.append(
-            Finding(
-                "lattice.n",
-                f"dimension cap exceeded: {sites_per_state}^{n} = {dim} > {cap}"
-                " (override with LRLAB_DIM_CAP)",
-            )
-        )
-    return out
+    return out + _cap_findings("lattice.n", sites_per_state, n)
 
 
 def validate_config(cfg: dict) -> list:
     """Check every domain constraint without running anything.
 
     Returns findings (field + reason); an empty list means the config is
-    runnable.
+    runnable.  Values of the wrong type (``shape_findings``) are reported
+    alone, since the domain checks need to read them.
     """
     out = []
     kind = cfg.get("experiment")
     if kind not in KINDS:
         return [Finding("experiment", f"must be one of {', '.join(KINDS)}")]
+    malformed = shape_findings(cfg)
+    if malformed:
+        return malformed
 
     seed = cfg.get("seed", 0)
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
@@ -206,7 +304,8 @@ def validate_config(cfg: dict) -> list:
         out.append(Finding("threads", "must be a positive integer"))
 
     graph_dim = 1
-    if cfg.get("lattice", {}).get("kind") in ("square_patch", "square_torus"):
+    lat = cfg.get("lattice")
+    if isinstance(lat, dict) and lat.get("kind") in ("square_patch", "square_torus"):
         graph_dim = 2
 
     if kind in ("lr-verify", "bound-curves"):
@@ -290,14 +389,7 @@ def validate_config(cfg: dict) -> list:
     if kind == "lppl":
         chain = cfg.get("chain", {})
         n = int(chain.get("n", 8))
-        if 2**n > _dim_cap():
-            out.append(
-                Finding(
-                    "chain.n",
-                    f"dimension cap exceeded: 2^{n} = {2**n} > {_dim_cap()}"
-                    " (override with LRLAB_DIM_CAP)",
-                )
-            )
+        out += _cap_findings("chain.n", 2, n)
         if float(chain.get("alpha_tb", 4.0)) <= 1.0:
             out.append(Finding("chain.alpha_tb", "term decay must exceed the lattice dimension D=1"))
         site = int(chain.get("site", 0))
@@ -344,14 +436,6 @@ def validate_config(cfg: dict) -> list:
 
 def _grid(spec) -> np.ndarray:
     return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
-
-
-def _ordered_map(fn, items, threads: int):
-    """Map preserving item order; thread count never changes the result."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _params_record(p: BoundParams) -> dict:
@@ -432,7 +516,7 @@ def _certificate_summary(rep) -> dict:
 # the five experiment families
 
 
-def _run_lr_verify(cfg, rng, threads):
+def _run_lr_verify(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     ctx = build_context(g)
@@ -468,7 +552,7 @@ def _constant_generator(phi):
     return lambda t: h
 
 
-def _run_bound_curves(cfg, rng, threads):
+def _run_bound_curves(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     ctx = build_context(g)
@@ -486,7 +570,7 @@ def _run_bound_curves(cfg, rng, threads):
             row[c.label] = float(c(r, dt))
         return row
 
-    rows = _ordered_map(one, points, threads)
+    rows = [one(point) for point in points]
     vals = np.array([[row[c.label] for c in curves] for row in rows])
     summary = {
         "experiment": "bound-curves",
@@ -499,7 +583,7 @@ def _run_bound_curves(cfg, rng, threads):
     return rows, summary, constants
 
 
-def _run_spectral_flow(cfg, rng, threads):
+def _run_spectral_flow(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     ctx = build_context(g)
@@ -553,7 +637,7 @@ def _run_spectral_flow(cfg, rng, threads):
     return rows, summary, constants
 
 
-def _run_lppl(cfg, rng, threads):
+def _run_lppl(cfg, rng):
     chain = dict(cfg.get("chain", {}))
     family, window = perturbed_atomic_chain(
         n=int(chain.get("n", 8)),
@@ -593,7 +677,7 @@ def _run_lppl(cfg, rng, threads):
     return rows, summary, constants
 
 
-def _run_spin_compare(cfg, rng, threads):
+def _run_spin_compare(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     spin_cfg = dict(cfg.get("spin", {}))
@@ -717,7 +801,7 @@ def run_config(cfg: dict, out_dir: str, threads: int | None = None, seed: int | 
     kind = cfg["experiment"]
     used_seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(used_seed)
-    rows, summary, constants = _RUNNERS[kind](cfg, rng, int(cfg.get("threads", 1)))
+    rows, summary, constants = _RUNNERS[kind](cfg, rng)
 
     echo = {k: v for k, v in cfg.items() if k != "threads"}
     provenance = {
@@ -779,7 +863,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a YAML experiment config")
     p_run.add_argument("-o", "--out", default=".", help="output directory")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads")
+    p_run.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted and validated; runs are serial and never depend on it",
+    )
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_val = sub.add_parser("validate", help="check a config without computing")
@@ -815,7 +902,9 @@ def main(argv=None) -> int:
             print(f)
         if not findings:
             print("ok")
-        return 0 if not findings else 1
+            return 0
+        # a value of the wrong type makes the config unreadable, like bad YAML
+        return 2 if shape_findings(cfg) else 1
 
     try:
         status, paths = run_config(cfg, args.out, threads=args.threads, seed=args.seed)

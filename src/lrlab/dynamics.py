@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import LocalOperator
-from .interactions import Model, assemble
+from .interactions import Model
 from .lattice import set_distance
 from .linalg import expm_hermitian, is_hermitian, op_norm, polar_unitary
 
@@ -251,10 +251,9 @@ def lr_sweep(
     times = np.asarray(list(times), dtype=float)
     if isinstance(model_or_gen, Model):
         m = model_or_gen
-        onsite = m.onsite_matrix()
 
         def gen(t):
-            return assemble(m.interaction.sample(t), max_range=max_range) + onsite
+            return m.hamiltonian(t, max_range)
 
         graph = m.ctx.graph
     else:

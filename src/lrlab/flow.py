@@ -244,7 +244,7 @@ def gap_analysis(h, f_minus: float, f_plus: float, edge_tol: float = 1e-9) -> Ga
 
 def _as_matrix(x) -> np.ndarray:
     if isinstance(x, LocalOperator):
-        return x.matrix
+        return x.dense()
     return np.asarray(x, dtype=np.complex128)
 
 
@@ -265,9 +265,12 @@ def inverse_liouvillian(
     quadrature) in info["budget"]; the identity can only hold up to that
     budget plus the truncated tail.
     """
-    hm = _as_matrix(h)
-    am = _as_matrix(a)
-    evals, vecs = np.linalg.eigh(hm)
+    evals, vecs = np.linalg.eigh(_as_matrix(h))
+    return _inverse_in_eigenbasis(evals, vecs, _as_matrix(a), weight, method, horizon, density)
+
+
+def _inverse_in_eigenbasis(evals, vecs, am, weight, method="eigenbasis", horizon=None, density=8.0):
+    """``inverse_liouvillian`` from the eigenpairs (evals, vecs) of H."""
     at = vecs.conj().T @ am @ vecs
     om = evals[:, None] - evals[None, :]
     info: dict = {"method": method}
@@ -351,10 +354,11 @@ def extract_interaction(
     the assembled sum gives the hastings flow generator when ``phi``
     samples the s-derivative of the family.
     """
-    hm = _as_matrix(h)
+    evals, vecs = np.linalg.eigh(_as_matrix(h))
     acc: dict = {}
     for region, term in phi.terms.items():
-        for piece in local_decomposition(ctx, hm, term, weight):
+        jm, _ = _inverse_in_eigenbasis(evals, vecs, term.dense(), weight)
+        for piece in layer_split(ctx, jm, term.support):
             key = piece.support
             acc[key] = acc.get(key, 0.0) + piece.matrix
     out = Interaction(ctx)

@@ -10,11 +10,20 @@ the ordered-product convention
 which makes them explicit signed-permutation matrices: no tensor-product
 assembly is needed, and the matrices stay sparse.
 
+Moving a mode subset F to the front of the ordered product is a signed
+permutation of basis states (``_mode_permutation``).  In the reordered
+basis an element of the subalgebra of F is 1 (x) B, with B a 2^|F| x 2^|F|
+block on the Fock space of F alone, odd elements included: the modes of F
+come first in the product, so no sign string crosses the other modes.
+Local operators are stored as that block and the site set it lives on;
+the dense matrix is built only when asked for, by scattering the block
+through the signed permutation of its support, which the context caches
+per site set.
+
 The conditional expectation onto the subalgebra of a site subset X is the
 orthogonal projection in the normalized Hilbert-Schmidt inner product.  It
-is computed by rotating the X modes to the front with the fermionic
-mode-reordering unitary (a signed permutation of basis states), taking the
-normalized partial trace over the remaining factor, and rotating back.
+is computed by rotating the X modes to the front, taking the normalized
+partial trace over the remaining factor, and rotating back.
 """
 
 from __future__ import annotations
@@ -26,12 +35,13 @@ import numpy as np
 import scipy.sparse
 
 from .lattice import LatticeGraph, site_set
-from .linalg import op_norm
+from .linalg import is_hermitian, op_norm
 
 __all__ = [
     "FockContext",
     "LocalOperator",
     "build_context",
+    "dim_cap",
     "ladder",
     "number_operator",
     "parity_class",
@@ -42,10 +52,83 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 4096
 PARITY_TOL = 1e-10
+# largest entry a dense matrix may leave off its declared support, relative
+# to its own largest entry
+SUPPORT_TOL = 1e-10
 
 
-def _dim_cap() -> int:
+def dim_cap() -> int:
+    """Largest Hilbert-space dimension a context may have (LRLAB_DIM_CAP)."""
     return int(os.environ.get("LRLAB_DIM_CAP", DEFAULT_DIM_CAP))
+
+
+def _ladder_entries(n_modes: int, mode: int, dagger: bool):
+    """(rows, cols, vals) of one ladder operator on ``n_modes`` modes."""
+    bit = 1 << mode
+    k = np.arange(2**n_modes, dtype=np.int64)
+    occupied = (k & bit) != 0
+    cols = k[~occupied] if dagger else k[occupied]
+    rows = cols ^ bit
+    # sign string of the modes below ``mode`` in the ordered product
+    below = np.bitwise_count(cols & (bit - 1)).astype(np.int64)
+    vals = (1.0 - 2.0 * (below & 1)).astype(np.complex128)
+    return rows, cols, vals
+
+
+def _parity_diagonal(n_modes: int) -> np.ndarray:
+    k = np.arange(2**n_modes, dtype=np.int64)
+    return 1 - 2 * (np.bitwise_count(k).astype(np.int64) & 1)
+
+
+def _mode_permutation(n_modes: int, front) -> tuple[np.ndarray, np.ndarray]:
+    """Basis relabeling that moves the modes ``front`` to the low bit positions.
+
+    Returns (index, sign): the reordered-product basis vector m equals
+    sign[m] times the standard basis vector index[m].  The sign counts the
+    transpositions needed to sort the occupied creation operators back into
+    ascending mode order.  Both arrays are read-only, since contexts
+    cache and share them.
+    """
+    order = list(front) + [m for m in range(n_modes) if m not in front]
+    new = np.arange(2**n_modes, dtype=np.int64)
+    index = np.zeros_like(new)
+    for pos, mode in enumerate(order):
+        index |= ((new >> pos) & 1) << mode
+    inversions = np.zeros_like(new)
+    for j, mode in enumerate(order):
+        # occupied modes placed before ``mode`` although they sort after it
+        later = sum(1 << m for m in order[:j] if m > mode)
+        if later:
+            inversions += ((index >> mode) & 1) * np.bitwise_count(index & later).astype(np.int64)
+    sign = 1.0 - 2.0 * (inversions & 1)
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
+
+
+def _scatter_add(out: np.ndarray, block: np.ndarray, index: np.ndarray, sign: np.ndarray):
+    """out += the embedding of ``block`` under the relabeling (index, sign).
+
+    The embedding is 1 (x) block in the reordered basis: one copy of the
+    block per configuration of the modes outside the support.  Only the
+    block's nonzero entries are touched, and no two of them land on the
+    same entry of ``out``.
+    """
+    lo = block.shape[0]
+    idx = index.reshape(-1, lo)
+    sgn = sign.reshape(-1, lo)
+    r, c = np.nonzero(block)
+    out[idx[:, r], idx[:, c]] += (sgn[:, r] * sgn[:, c]) * block[r, c]
+
+
+def _classify_parity(matrix: np.ndarray, p: np.ndarray, tol: float) -> str:
+    twisted = (p[:, None] * matrix) * p[None, :]
+    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    if np.abs(twisted - matrix).max(initial=0.0) <= tol * scale:
+        return "even"
+    if np.abs(twisted + matrix).max(initial=0.0) <= tol * scale:
+        return "odd"
+    return "mixed"
 
 
 @dataclass(frozen=True)
@@ -57,6 +140,7 @@ class FockContext:
     n_modes: int
     dim: int
     _ladder_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _permutation_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def mode_index(self, site: int, spin: int = 0) -> int:
         if not 0 <= spin < self.spins:
@@ -78,8 +162,7 @@ class FockContext:
 
     def parity_diagonal(self) -> np.ndarray:
         """Diagonal of the total particle-number parity operator."""
-        k = np.arange(self.dim, dtype=np.int64)
-        return 1 - 2 * (np.bitwise_count(k).astype(np.int64) & 1)
+        return _parity_diagonal(self.n_modes)
 
     def ladder_sparse(self, mode: int, dagger: bool = False):
         """Sparse ladder matrix for one mode, cached."""
@@ -87,28 +170,29 @@ class FockContext:
             raise ValueError(f"mode {mode} out of range")
         key = (mode, bool(dagger))
         if key not in self._ladder_cache:
-            self._ladder_cache[key] = self._build_ladder(mode, dagger)
+            rows, cols, vals = _ladder_entries(self.n_modes, mode, dagger)
+            self._ladder_cache[key] = scipy.sparse.csr_matrix(
+                (vals, (rows, cols)), shape=(self.dim, self.dim)
+            )
         return self._ladder_cache[key]
 
-    def _build_ladder(self, mode: int, dagger: bool):
-        bit = 1 << mode
-        k = np.arange(self.dim, dtype=np.int64)
-        occupied = (k & bit) != 0
-        cols = k[~occupied] if dagger else k[occupied]
-        rows = cols ^ bit
-        # sign string of the modes below ``mode`` in the ordered product
-        below = np.bitwise_count(cols & (bit - 1)).astype(np.int64)
-        vals = (1.0 - 2.0 * (below & 1)).astype(np.complex128)
-        return scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(self.dim, self.dim)
-        )
+    def embedding(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """Signed relabeling (index, sign) that embeds blocks on ``sites``."""
+        return self._permutation(self.n_modes, self.modes_of_sites(sites))
+
+    def _permutation(self, n_modes: int, front: tuple):
+        """``_mode_permutation``, cached; block lifts use few-mode ones."""
+        key = (n_modes, front)
+        if key not in self._permutation_cache:
+            self._permutation_cache[key] = _mode_permutation(n_modes, front)
+        return self._permutation_cache[key]
 
 
 def build_context(graph: LatticeGraph, spins: int = 1) -> FockContext:
     if spins < 1:
         raise ValueError("need at least one spin species per site")
     n_modes = spins * graph.n_sites
-    cap = _dim_cap()
+    cap = dim_cap()
     dim = 2**n_modes
     if dim > cap:
         raise ValueError(
@@ -120,23 +204,25 @@ def build_context(graph: LatticeGraph, spins: int = 1) -> FockContext:
 
 def parity_class(ctx: FockContext, matrix: np.ndarray, tol: float = PARITY_TOL) -> str:
     """'even', 'odd', or 'mixed' under conjugation by total parity."""
-    matrix = np.asarray(matrix)
-    p = ctx.parity_diagonal()
-    twisted = (p[:, None] * matrix) * p[None, :]
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    if np.abs(twisted - matrix).max(initial=0.0) <= tol * scale:
-        return "even"
-    if np.abs(twisted + matrix).max(initial=0.0) <= tol * scale:
-        return "odd"
-    return "mixed"
+    return _classify_parity(np.asarray(matrix), ctx.parity_diagonal(), tol)
 
 
 class LocalOperator:
-    """Dense operator on the full Fock space with a declared support.
+    """Operator on the Fock space, stored as its block on a declared support.
 
-    The support is the set of sites whose modes the operator may involve;
-    arithmetic unions supports and refreshes the parity tag from the
-    resulting matrix.
+    The support Z is the set of sites whose modes the operator may involve;
+    the block is the 2^m x 2^m matrix on the m modes of Z (in ascending
+    mode order, same sign convention as the full space).  Products, sums,
+    adjoints, scalar multiples, the norm, the parity and the
+    self-adjointness check all work on blocks, lifting both operands to
+    the union of their supports first, so each costs O(4^|Z|) rather than
+    a power of the full dimension.  ``matrix`` embeds the block on first
+    use and keeps the result.
+
+    Built from a full dim x dim matrix (``LocalOperator(ctx, matrix, Z)``)
+    the operator keeps that matrix and extracts its block on first local
+    use, raising if the matrix does not live on Z.  ``from_block`` builds
+    one from its block directly.
     """
 
     def __init__(self, ctx: FockContext, matrix, support, parity: str | None = None):
@@ -146,37 +232,112 @@ class LocalOperator:
                 f"matrix shape {matrix.shape} does not match Fock dimension {ctx.dim}"
             )
         self.ctx = ctx
-        self.matrix = matrix
         self.support = site_set(ctx.graph, support)
-        self.parity = parity if parity is not None else parity_class(ctx, matrix)
+        self._matrix = matrix
+        self._block = None
+        self._parity = parity
+
+    @classmethod
+    def from_block(cls, ctx: FockContext, block, support, parity: str | None = None):
+        support = site_set(ctx.graph, support)
+        block = np.asarray(block, dtype=np.complex128)
+        side = 2 ** (len(support) * ctx.spins)
+        if block.shape != (side, side):
+            raise ValueError(
+                f"block shape {block.shape} does not match the {side}-dimensional"
+                f" space of the modes on {support}"
+            )
+        op = cls.__new__(cls)
+        op.ctx = ctx
+        op.support = support
+        op._matrix = None
+        op._block = block
+        op._parity = parity
+        return op
+
+    @property
+    def block(self) -> np.ndarray:
+        if self._block is None:
+            self._block = self._compress()
+        return self._block
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self.dense()
+        return self._matrix
+
+    @property
+    def parity(self) -> str:
+        if self._parity is None:
+            m = len(self.support) * self.ctx.spins
+            self._parity = _classify_parity(self.block, _parity_diagonal(m), PARITY_TOL)
+        return self._parity
+
+    def dense(self) -> np.ndarray:
+        """The full matrix, without caching it on the operator."""
+        if self._matrix is not None:
+            return self._matrix
+        out = np.zeros((self.ctx.dim, self.ctx.dim), dtype=np.complex128)
+        self.add_to(out)
+        return out
+
+    def add_to(self, out: np.ndarray):
+        """Add the operator into a dim x dim array in place."""
+        _scatter_add(out, self.block, *self.ctx.embedding(self.support))
+
+    def _compress(self) -> np.ndarray:
+        index, sign = self.ctx.embedding(self.support)
+        side = 2 ** (len(self.support) * self.ctx.spins)
+        head, head_sign = index[:side], sign[:side]
+        block = np.outer(head_sign, head_sign) * self._matrix[np.ix_(head, head)]
+        residual = self._matrix.copy()
+        _scatter_add(residual, -block, index, sign)
+        scale = max(1.0, float(np.abs(self._matrix).max(initial=0.0)))
+        if np.abs(residual).max(initial=0.0) > SUPPORT_TOL * scale:
+            raise ValueError("operator is not supported on its declared site set")
+        return block
+
+    def _lift(self, support: tuple) -> np.ndarray:
+        """The block on a larger support."""
+        if support == self.support:
+            return self.block
+        modes = self.ctx.modes_of_sites(support)
+        own = self.ctx.modes_of_sites(self.support)
+        index, sign = self.ctx._permutation(len(modes), tuple(modes.index(m) for m in own))
+        out = np.zeros((index.size, index.size), dtype=np.complex128)
+        _scatter_add(out, self.block, index, sign)
+        return out
 
     def norm(self) -> float:
-        return op_norm(self.matrix)
+        return op_norm(self.block)
 
     def adjoint(self) -> "LocalOperator":
-        return LocalOperator(self.ctx, self.matrix.conj().T, self.support, self.parity)
-
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.abs(self.matrix).max(initial=0.0)))
-        return bool(
-            np.abs(self.matrix - self.matrix.conj().T).max(initial=0.0) <= tol * scale
+        return LocalOperator.from_block(
+            self.ctx, self.block.conj().T, self.support, self._parity
         )
 
-    def _join(self, other, matrix):
-        support = sorted(set(self.support) | set(other.support))
-        return LocalOperator(self.ctx, matrix, support)
+    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
+        return is_hermitian(self.block, tol)
+
+    def _join(self, other, combine):
+        support = tuple(sorted(set(self.support) | set(other.support)))
+        block = combine(self._lift(support), other._lift(support))
+        return LocalOperator.from_block(self.ctx, block, support)
 
     def __add__(self, other):
-        return self._join(other, self.matrix + other.matrix)
+        return self._join(other, np.add)
 
     def __sub__(self, other):
-        return self._join(other, self.matrix - other.matrix)
+        return self._join(other, np.subtract)
 
     def __matmul__(self, other):
-        return self._join(other, self.matrix @ other.matrix)
+        return self._join(other, np.matmul)
 
     def __mul__(self, scalar):
-        return LocalOperator(self.ctx, scalar * self.matrix, self.support, self.parity)
+        return LocalOperator.from_block(
+            self.ctx, scalar * self.block, self.support, self._parity
+        )
 
     __rmul__ = __mul__
 
@@ -188,13 +349,15 @@ class LocalOperator:
 
 
 def ladder(ctx: FockContext, site: int, spin: int = 0, dagger: bool = False) -> LocalOperator:
-    """Annihilation (or creation) operator as a dense LocalOperator.
+    """Annihilation (or creation) operator on one site's modes.
 
-    For large contexts prefer ``ctx.ladder_sparse``; this densifies.
+    For sparse full-space matrices use ``ctx.ladder_sparse``.
     """
-    mode = ctx.mode_index(site, spin)
-    mat = ctx.ladder_sparse(mode, dagger).toarray()
-    return LocalOperator(ctx, mat, (site,), parity="odd")
+    ctx.mode_index(site, spin)
+    block = np.zeros((2**ctx.spins, 2**ctx.spins), dtype=np.complex128)
+    rows, cols, vals = _ladder_entries(ctx.spins, spin, dagger)
+    block[rows, cols] = vals
+    return LocalOperator.from_block(ctx, block, (site,), parity="odd")
 
 
 def number_operator(ctx: FockContext, sites=None) -> LocalOperator:
@@ -202,40 +365,13 @@ def number_operator(ctx: FockContext, sites=None) -> LocalOperator:
     if sites is None:
         sites = ctx.graph.vertices
     sites = site_set(ctx.graph, sites)
-    modes = ctx.modes_of_sites(sites)
-    k = np.arange(ctx.dim, dtype=np.int64)
-    diag = np.zeros(ctx.dim)
-    for m in modes:
-        diag += ((k >> m) & 1).astype(np.float64)
-    return LocalOperator(ctx, np.diag(diag.astype(np.complex128)), sites, parity="even")
+    k = np.arange(2 ** (len(sites) * ctx.spins), dtype=np.int64)
+    diag = np.bitwise_count(k).astype(np.complex128)
+    return LocalOperator.from_block(ctx, np.diag(diag), sites, parity="even")
 
 
 # ---------------------------------------------------------------------------
 # mode reordering and the conditional expectation
-
-
-def _mode_permutation(ctx: FockContext, front_modes) -> tuple[np.ndarray, np.ndarray]:
-    """Basis relabeling that moves ``front_modes`` to the low bit positions.
-
-    Returns (index, sign): the reordered-product basis vector m equals
-    sign[m] times the standard basis vector index[m].  The sign counts the
-    transpositions needed to sort the occupied creation operators back into
-    ascending mode order.
-    """
-    front = list(front_modes)
-    rest = [m for m in range(ctx.n_modes) if m not in front]
-    order = np.array(front + rest, dtype=np.int64)
-
-    occ = ctx.occupations()  # occupations in the *new* labeling, bit i of m
-    index = occ.astype(np.int64) @ (1 << order)
-
-    inversions = np.zeros(ctx.dim, dtype=np.int64)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                inversions += occ[:, i].astype(np.int64) * occ[:, j]
-    sign = 1.0 - 2.0 * (inversions & 1)
-    return index, sign
 
 
 def conditional_expectation(ctx: FockContext, sites, matrix) -> np.ndarray:
@@ -257,7 +393,7 @@ def conditional_expectation(ctx: FockContext, sites, matrix) -> np.ndarray:
     if not front:
         return np.eye(ctx.dim, dtype=np.complex128) * (np.trace(matrix) / ctx.dim)
 
-    index, sign = _mode_permutation(ctx, front)
+    index, sign = _mode_permutation(ctx.n_modes, front)
     lo = 2 ** len(front)
     hi = ctx.dim // lo
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .fock import FockContext, LocalOperator, ladder, number_operator
 from .lattice import LatticeGraph, set_diameter, site_set
+from .linalg import is_hermitian
 
 __all__ = [
     "Interaction",
@@ -62,7 +63,7 @@ class Interaction:
             raise ValueError(f"term support {op.support} escapes its key {key}")
         if op.parity != "even":
             raise ValueError("interaction terms must be parity even")
-        if not op.is_self_adjoint(SELF_ADJOINT_TOL):
+        if not is_hermitian(op.block, SELF_ADJOINT_TOL):
             raise ValueError("interaction terms must be self-adjoint")
         if key in self.terms:
             self.terms[key] = self.terms[key] + op
@@ -135,12 +136,11 @@ class Model:
     def onsite_matrix(self) -> np.ndarray:
         out = np.zeros((self.ctx.dim, self.ctx.dim), dtype=np.complex128)
         for op in self.onsite.values():
-            out = out + op.matrix
+            op.add_to(out)
         return out
 
     def hamiltonian(self, t: float, max_range=None) -> np.ndarray:
-        h = assemble(self.interaction.sample(t), max_range=max_range)
-        return h + self.onsite_matrix()
+        return assemble(self.interaction.sample(t), self.onsite, max_range)
 
 
 def interaction_norm(phi: Interaction, alpha: float, weight: int = 0) -> float:
@@ -178,16 +178,17 @@ def assemble(phi: Interaction, onsite: dict | None = None, max_range=None) -> np
 
     ``max_range=None`` keeps everything.  On-site terms are always kept;
     they sit at diameter zero and do not count against the range cut.
+    Each term's block is scattered straight into the result, so the only
+    dim x dim array built is the result itself.
     """
     ctx = phi.ctx
     out = np.zeros((ctx.dim, ctx.dim), dtype=np.complex128)
     for key, op in phi.terms.items():
         if max_range is not None and set_diameter(ctx.graph, key) >= max_range:
             continue
-        out += op.matrix
-    if onsite:
-        for op in onsite.values():
-            out += op.matrix
+        op.add_to(out)
+    for op in (onsite or {}).values():
+        op.add_to(out)
     return out
 
 

@@ -20,7 +20,7 @@ from .flow import WeightFunction, gap_analysis, hastings_generator
 from .fock import LocalOperator, conditional_expectation, number_operator, build_context
 from .interactions import Interaction, Model, model
 from .lattice import build_lattice, set_distance, site_set
-from .linalg import op_norm
+from .linalg import is_hermitian, op_norm
 
 __all__ = [
     "perturbed_family",
@@ -33,6 +33,11 @@ __all__ = [
 FIT_FLOOR = 1e-13
 
 
+def _trace_product(p: np.ndarray, a: np.ndarray) -> complex:
+    """Tr(P A) as an elementwise sum, without forming the product."""
+    return np.einsum("ij,ji->", p, a)
+
+
 def perturbed_family(phi: Interaction, w: LocalOperator, onsite: dict | None = None) -> Model:
     """Family H(s) = H_0 + s W with exact derivative W.
 
@@ -43,9 +48,9 @@ def perturbed_family(phi: Interaction, w: LocalOperator, onsite: dict | None = N
         raise TypeError("the perturbation must be a LocalOperator")
     if not w.support:
         raise ValueError("the perturbation needs a declared support")
-    if not w.is_self_adjoint():
+    if not is_hermitian(w.block):
         raise ValueError("the perturbation must be self-adjoint")
-    if w.parity not in (None, "even") and op_norm(w.matrix) > 1e-12:
+    if w.parity != "even" and w.norm() > 1e-12:
         raise ValueError("the perturbation must be even")
     return model("local_perturbation", phi.ctx, phi=phi, w=w, onsite=onsite or {})
 
@@ -162,7 +167,8 @@ def lppl_measure(
         if norm <= 0.0:
             findings.append(f"probe on {a.support} has zero norm; skipped")
             continue
-        diff = abs(np.trace(p1 @ a.matrix) - np.trace(p0 @ a.matrix)) / norm
+        am = a.dense()
+        diff = abs(_trace_product(p1, am) - _trace_product(p0, am)) / norm
         if diff > cap + 1e-9:
             raise AssertionError("difference exceeds the rank cap; projectors are broken")
         dist = None

@@ -13,14 +13,13 @@ trivial bound; this module ends with the concrete demonstration.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundCurve, BoundParams, delta_cap
 from .dynamics import CommutatorSeries, commutator_norms
-from .fock import build_context, ladder, number_operator
+from .fock import build_context, dim_cap, ladder, number_operator
 from .interactions import model
 from .lattice import (
     LatticeGraph,
@@ -48,9 +47,6 @@ __all__ = [
     "fermionic_obstruction_demo",
 ]
 
-DEFAULT_DIM_CAP = 4096
-
-
 @dataclass(frozen=True)
 class SpinContext:
     """Tensor-product bookkeeping: one ``local_dim`` factor per site."""
@@ -68,7 +64,7 @@ def spin_context(graph: LatticeGraph, local_dim: int = 2) -> SpinContext:
     if local_dim < 2:
         raise ValueError("local dimension must be at least 2")
     dim = local_dim**graph.n_sites
-    cap = int(os.environ.get("LRLAB_DIM_CAP", DEFAULT_DIM_CAP))
+    cap = dim_cap()
     if dim > cap:
         raise ValueError(f"spin dimension {dim} exceeds the cap {cap}")
     return SpinContext(graph=graph, local_dim=local_dim, dim=dim)

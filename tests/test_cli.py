@@ -7,6 +7,8 @@ from importlib import resources
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab.cli import KINDS, ConfigError, main, run_config, validate_config
 
@@ -201,3 +203,57 @@ def test_main_verbs(tmp_path, capsys):
     run_dir = tmp_path / "run2"
     assert main(["run", path, "-o", str(run_dir)]) == 0  # short form of --out
     assert (run_dir / "lppl-results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,fn,field",
+    [
+        ("lr-verify", lambda c: c.update(lattice=[1, 2]), "lattice"),
+        ("lr-verify", lambda c: c.update(alpha="abc"), "alpha"),
+        ("lppl", lambda c: c.update(chain={"n": "eight"}), "chain.n"),
+        ("spectral-flow", lambda c: c.update(gap=3), "gap"),
+    ],
+)
+def test_malformed_values_give_findings_and_exit_2(kind, fn, field, tmp_path, capsys):
+    cfg = mutate(kind, fn)
+    findings = validate_config(cfg)
+    assert [f.field for f in findings] == [field]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith(f"{field}: expected")
+    assert "Traceback" not in out.out + out.err
+    assert main(["run", str(path), "-o", str(tmp_path / "run")]) == 2
+
+
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    path=st.sampled_from(
+        ["lattice", "lattice.n", "lattice.kind", "alpha", "curves", "model", "model.alpha_tb",
+         "observables", "observables.a", "times", "times.count", "grid", "grid.r", "fields",
+         "gap", "gap.g", "generators", "hopping", "chain", "chain.n", "chain.strength", "spin",
+         "spin.local_dim", "base_curve", "slack", "seed", "threads", "s_grid"]
+    ),
+    value=yaml_values,
+)
+def test_validation_is_total(kind, path, value):
+    cfg = demo_cfg(kind)
+    *parents, leaf = path.split(".")
+    target = cfg
+    for key in parents:
+        target = target.setdefault(key, {})
+        if not isinstance(target, dict):
+            return
+    target[leaf] = value
+    findings = validate_config(cfg)
+    assert isinstance(findings, list)
+    assert all(isinstance(f.field, str) and isinstance(f.reason, str) for f in findings)

@@ -215,3 +215,110 @@ def test_support_of_rejects_wrong_declaration(ctx4):
     lying = LocalOperator(ctx4, a3.matrix, (0,), parity="odd")
     with pytest.raises(ValueError, match="not supported"):
         support_of(ctx4, lying)
+
+
+# ---------------------------------------------------------------------------
+# local storage: blocks against their dense embeddings
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lrlab.fock import LocalOperator
+from lrlab.linalg import is_hermitian
+
+
+@lru_cache(maxsize=None)
+def cached_context(kind, n_sites, spins):
+    return build_context(build_lattice(kind, n_sites), spins=spins)
+
+
+@st.composite
+def local_pairs(draw):
+    """Two random local operators on one context, with a random scalar.
+
+    Blocks are drawn mixed, even or odd, optionally Hermitian, so every
+    parity class and both self-adjointness outcomes occur.  With two
+    species per site the lattices have 3 or 4 sites (dim 64 or 256), which
+    keeps the dense reference products and norms cheap; 3 sites also puts
+    supports that cover the whole lattice in the draw.
+    """
+    spins = draw(st.sampled_from([1, 2]))
+    n_sites = draw(st.sampled_from([5, 6] if spins == 1 else [3, 4]))
+    ctx = cached_context(draw(st.sampled_from(["path", "ring"])), n_sites, spins)
+
+    def one():
+        sites = draw(st.lists(st.integers(0, n_sites - 1), min_size=1, max_size=3, unique=True))
+        m = len(sites) * spins
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        block = random_matrix(rng, 2**m)
+        p = 1 - 2 * (np.array([bin(k).count("1") for k in range(2**m)]) & 1)
+        kind = draw(st.sampled_from(["mixed", "even", "odd"]))
+        if kind != "mixed":
+            sign = 1 if kind == "even" else -1
+            block = 0.5 * (block + sign * (p[:, None] * block * p[None, :]))
+        if draw(st.booleans()):
+            block = 0.5 * (block + block.conj().T)
+        return LocalOperator.from_block(ctx, block, sites)
+
+    c = draw(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+    return ctx, one(), one(), c
+
+
+def close(x, y):
+    return np.abs(x - y).max() <= 1e-12 * max(1.0, np.abs(y).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(local_pairs())
+def test_block_arithmetic_matches_dense(case):
+    ctx, a, b, c = case
+    am, bm = a.matrix, b.matrix
+    # the embedding lives on the declared support
+    assert close(conditional_expectation(ctx, a.support, am), am)
+    assert close((a @ b).matrix, am @ bm)
+    assert close((a + b).matrix, am + bm)
+    assert close((a - b).matrix, am - bm)
+    assert close(a.adjoint().matrix, am.conj().T)
+    assert close((c * a).matrix, c * am)
+    assert (a @ b).support == tuple(sorted(set(a.support) | set(b.support)))
+    for op in (a, a @ b, a + b):
+        m = op.matrix
+        assert op.norm() == pytest.approx(op_norm(m), rel=1e-12, abs=1e-12)
+        assert op.parity == parity_class(ctx, m)
+        assert is_hermitian(op.block) == is_hermitian(m)
+
+
+def test_local_ladders_embed_to_the_full_ladders():
+    for spins, n_sites in [(1, 5), (2, 3)]:
+        ctx = build_context(build_lattice("ring", n_sites), spins=spins)
+        for site in range(n_sites):
+            for spin in range(spins):
+                mode = ctx.mode_index(site, spin)
+                for dagger in (False, True):
+                    op = ladder(ctx, site, spin, dagger)
+                    assert op.block.shape == (2**spins, 2**spins)
+                    want = ctx.ladder_sparse(mode, dagger).toarray()
+                    assert np.array_equal(op.matrix, want)
+        n = number_operator(ctx, [0, 2])
+        want = sum(
+            ctx.ladder_sparse(m, True).toarray() @ ctx.ladder_sparse(m).toarray()
+            for m in ctx.modes_of_sites([0, 2])
+        )
+        assert np.array_equal(n.matrix, want)
+
+
+def test_dense_construction_round_trips_and_rejects_wrong_support(ctx4):
+    a1, a3 = ladder(ctx4, 1), ladder(ctx4, 3)
+    hop = a1.adjoint() @ a3 + a3.adjoint() @ a1
+    again = LocalOperator(ctx4, hop.matrix, hop.support)
+    assert np.array_equal(again.block, hop.block)
+    assert again.parity == "even"
+    # kept whole until used locally, then refused rather than projected
+    lying = LocalOperator(ctx4, a3.matrix, (0,))
+    assert lying.matrix is not None
+    with pytest.raises(ValueError, match="not supported"):
+        lying.norm()
+    with pytest.raises(ValueError, match="shape"):
+        LocalOperator.from_block(ctx4, np.eye(4), (0,))

@@ -152,3 +152,37 @@ def test_random_two_body_reproducible():
     b = random_two_body(ctx, np.random.default_rng(42), 2.0)
     for key in a.terms:
         assert np.array_equal(a.terms[key].matrix, b.terms[key].matrix)
+
+
+def test_assemble_equals_dense_sum_of_terms():
+    ctx = build_context(build_lattice("ring", 5))
+    phi = random_two_body(ctx, np.random.default_rng(5), alpha_tb=2.0)
+    onsite = {z: (0.5 + z) * number_operator(ctx, [z]) for z in ctx.graph.vertices}
+    for cut in (None, 2):
+        want = sum(
+            op.matrix
+            for key, op in phi.terms.items()
+            if cut is None or ctx.graph.distance(*key) < cut
+        ) + sum(op.matrix for op in onsite.values())
+        got = assemble(phi, onsite, max_range=cut)
+        assert np.abs(got - want).max() <= 1e-13
+
+
+def test_twelve_site_model_builds_without_dense_terms():
+    import tracemalloc
+
+    from lrlab.bounds import BoundParams
+
+    # one dense dim-4096 complex matrix alone would take 268 MB
+    ctx = build_context(build_lattice("path", 12))
+    tracemalloc.start()
+    try:
+        phi = random_two_body(ctx, np.random.default_rng(1), alpha_tb=3.0)
+        params = BoundParams.from_interaction(phi, 3.0)
+        hop = model("long_range_hopping", ctx, J=1.0, alpha_tb=3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(phi) == 66 and len(hop.interaction.sample(0.0)) == 66
+    assert params.norm_alpha > 0
