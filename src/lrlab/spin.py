@@ -47,6 +47,7 @@ __all__ = [
     "fermionic_obstruction_demo",
 ]
 
+
 @dataclass(frozen=True)
 class SpinContext:
     """Tensor-product bookkeeping: one ``local_dim`` factor per site."""

@@ -1,9 +1,13 @@
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab.fock import (
+    LocalOperator,
     build_context,
     car_table_residual,
     conditional_expectation,
@@ -13,7 +17,7 @@ from lrlab.fock import (
     support_of,
 )
 from lrlab.lattice import build_lattice
-from lrlab.linalg import op_norm
+from lrlab.linalg import is_hermitian, op_norm
 
 TOL = 1e-12
 
@@ -220,14 +224,6 @@ def test_support_of_rejects_wrong_declaration(ctx4):
 # ---------------------------------------------------------------------------
 # local storage: blocks against their dense embeddings
 
-from functools import lru_cache
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from lrlab.fock import LocalOperator
-from lrlab.linalg import is_hermitian
-
 
 @lru_cache(maxsize=None)
 def cached_context(kind, n_sites, spins):
@@ -317,7 +313,7 @@ def test_dense_construction_round_trips_and_rejects_wrong_support(ctx4):
     assert again.parity == "even"
     # kept whole until used locally, then refused rather than projected
     lying = LocalOperator(ctx4, a3.matrix, (0,))
-    assert lying.matrix is not None
+    assert np.array_equal(lying.matrix, a3.matrix)
     with pytest.raises(ValueError, match="not supported"):
         lying.norm()
     with pytest.raises(ValueError, match="shape"):

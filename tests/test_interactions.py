@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lrlab.bounds import BoundParams
 from lrlab.fock import build_context, ladder, number_operator
 from lrlab.interactions import (
     Interaction,
@@ -169,10 +171,6 @@ def test_assemble_equals_dense_sum_of_terms():
 
 
 def test_twelve_site_model_builds_without_dense_terms():
-    import tracemalloc
-
-    from lrlab.bounds import BoundParams
-
     # one dense dim-4096 complex matrix alone would take 268 MB
     ctx = build_context(build_lattice("path", 12))
     tracemalloc.start()
