@@ -628,6 +628,7 @@ def _run_spectral_flow(cfg, rng):
     }
     for kind, rep in reports.items():
         summary[f"deviation_{kind}"] = float(rep["deviation"])
+        summary[f"defect_{kind}"] = float(rep["worst_defect"])
         summary[f"unitarity_{kind}"] = float(rep["worst_unitarity"])
     constants = {
         "weight": {"gap": float(gap_cfg["g"]), "soft": float(gap_cfg.get("delta", 0.0))},

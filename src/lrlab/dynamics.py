@@ -2,10 +2,10 @@
 
 U(t, s) solves  i dU/dt = H(t) U,  U(s, s) = 1.  Steps use the fourth-order
 two-node Gauss (Magnus) exponential rule, whose exponent is Hermitian up to
-the factor -i, so every step is exactly unitary; each step is additionally
-snapped back to the unitary group by its polar factor, and the whole
-interval is re-integrated with doubled resolution until two successive
-resolutions agree.  For a time-independent generator the two resolutions
+the factor -i, so every step is exactly unitary; the product of a
+segment's steps is snapped back to the unitary group once, by its polar
+factor, and the whole interval is re-integrated with doubled resolution
+until two successive resolutions agree.  For a time-independent generator the two resolutions
 agree exactly and the first check already converges.
 
 Heisenberg evolution is tau_{t,s}(A) = U(t,s)* A U(t,s); a sweep records
@@ -70,8 +70,7 @@ def _integrate(gen, s: float, t: float, n_steps: int, settings: StepperSettings)
             h2 @ h1 - h1 @ h2
         )
         u = expm_hermitian(k_eff, -1j) @ u
-        u = polar_unitary(u)
-    return u
+    return polar_unitary(u)
 
 
 def propagate(gen, s: float, t: float, settings: StepperSettings | None = None):

@@ -22,6 +22,11 @@ projector P(s), both generator choices
 satisfy P'(s) = -i[D(s), P(s)], so the unitary solving U' = -i D U
 transports P(0) to P(s).  The hastings generator is the one with certified
 quasi-locality; the kato generator is the exact reference construction.
+
+Every decomposition here runs on numpy's LAPACK, as everywhere in lrlab
+(see ``linalg``): interleaving it with scipy's separately bundled
+OpenBLAS makes the two thread pools compete for the cores.  The kato
+generator takes one ``eigh`` per sample.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
 from .dynamics import Propagator, StepperSettings
-from .fock import FockContext, LocalOperator, conditional_expectation
+from .fock import FockContext, LocalOperator, expectation_block
 from .interactions import Interaction
 from .lattice import fatten
 from .linalg import op_norm
@@ -175,13 +180,18 @@ class GapReport:
     projector: np.ndarray
 
 
+def _sector_size(sector_dim, dim: int) -> int:
+    k = int(sector_dim)
+    if not 0 < k < dim:
+        raise ValueError("sector must be a proper nonempty subset of the spectrum")
+    return k
+
+
 def sector_gap(h, sector_dim: int = 1) -> GapReport:
     """Spectral gap between the lowest ``sector_dim`` levels and the rest."""
     h = _as_matrix(h)
     evals, vecs = np.linalg.eigh(h)
-    k = int(sector_dim)
-    if not 0 < k < h.shape[0]:
-        raise ValueError("sector must be a proper nonempty subset of the spectrum")
+    k = _sector_size(sector_dim, h.shape[0])
     proj = vecs[:, :k] @ vecs[:, :k].conj().T
     return GapReport(
         eigenvalues=evals,
@@ -266,12 +276,7 @@ def inverse_liouvillian(
     budget plus the truncated tail.
     """
     evals, vecs = np.linalg.eigh(_as_matrix(h))
-    return _inverse_in_eigenbasis(evals, vecs, _as_matrix(a), weight, method, horizon, density)
-
-
-def _inverse_in_eigenbasis(evals, vecs, am, weight, method="eigenbasis", horizon=None, density=8.0):
-    """``inverse_liouvillian`` from the eigenpairs (evals, vecs) of H."""
-    at = vecs.conj().T @ am @ vecs
+    am = _as_matrix(a)
     om = evals[:, None] - evals[None, :]
     info: dict = {"method": method}
     if method == "eigenbasis":
@@ -286,8 +291,12 @@ def _inverse_in_eigenbasis(evals, vecs, am, weight, method="eigenbasis", horizon
         f = f_ref
     else:
         raise ValueError("method must be 'eigenbasis' or 'time_domain'")
-    out = vecs @ (f * at) @ vecs.conj().T
-    return out, info
+    return _apply_filter(vecs, f, am), info
+
+
+def _apply_filter(vecs, f, am):
+    """J(A) from the eigenvectors of H and the filter on its Bohr frequencies."""
+    return vecs @ (f * (vecs.conj().T @ am @ vecs)) @ vecs.conj().T
 
 
 def layer_split(ctx: FockContext, matrix, base, max_layers: int | None = None):
@@ -296,16 +305,20 @@ def layer_split(ctx: FockContext, matrix, base, max_layers: int | None = None):
     Layer 0 is the conditional expectation onto the base; layer j is the
     difference of expectations onto the base fattened by j and j-1.  The
     layers sum to the operator exactly (the final fattening covers every
-    site) and layer j is supported on the j-fattened region.
+    site) and layer j is supported on the j-fattened region.  Each layer is
+    stored as its block on that region.
     """
     g = ctx.graph
     m = _as_matrix(matrix)
     base = tuple(sorted(set(int(x) for x in base)))
     if not base:
         raise ValueError("base region must be nonempty")
-    pieces = []
-    prev = conditional_expectation(ctx, base, m)
-    pieces.append(LocalOperator(ctx, prev, base))
+
+    def expectation(region):
+        return LocalOperator.from_block(ctx, expectation_block(ctx, region, m), region)
+
+    prev = expectation(base)
+    pieces = [prev]
     all_sites = set(g.vertices)
     j = 0
     region = base
@@ -314,8 +327,8 @@ def layer_split(ctx: FockContext, matrix, base, max_layers: int | None = None):
         if max_layers is not None and j > max_layers:
             break
         region = fatten(g, base, j)
-        cur = m if set(region) == all_sites else conditional_expectation(ctx, region, m)
-        pieces.append(LocalOperator(ctx, cur - prev, region))
+        cur = expectation(region)
+        pieces.append(cur - prev)
         prev = cur
     return pieces
 
@@ -355,39 +368,52 @@ def extract_interaction(
     samples the s-derivative of the family.
     """
     evals, vecs = np.linalg.eigh(_as_matrix(h))
+    f = weight.filter_at(evals[:, None] - evals[None, :])
     acc: dict = {}
-    for region, term in phi.terms.items():
-        jm, _ = _inverse_in_eigenbasis(evals, vecs, term.dense(), weight)
+    for term in phi.terms.values():
+        jm = _apply_filter(vecs, f, term.dense())
         for piece in layer_split(ctx, jm, term.support):
             key = piece.support
-            acc[key] = acc.get(key, 0.0) + piece.matrix
+            acc[key] = acc.get(key, 0.0) + piece.block
     out = Interaction(ctx)
-    for key, m in sorted(acc.items()):
-        m = 0.5 * (m + m.conj().T)  # symmetrize away quadrature roundoff
-        if drop_tol and op_norm(m) <= drop_tol:
+    for key, b in sorted(acc.items()):
+        b = 0.5 * (b + b.conj().T)  # symmetrize away quadrature roundoff
+        if drop_tol and op_norm(b) <= drop_tol:
             continue
-        out.add_term(key, LocalOperator(ctx, m, key))
+        out.add_term(key, LocalOperator.from_block(ctx, b, key))
     return out
 
 
 def kato_generator(h_fn, s: float, sector_dim: int = 1, step: float = 1e-4) -> np.ndarray:
     """Exact-diagonalization flow generator D = i[P'(s), P(s)].
 
-    P' uses a fourth-order central difference, so the family must be
-    evaluable slightly outside the endpoints.
+    H' uses a fourth-order central difference of ``h_fn``, so the family
+    must be evaluable slightly outside the endpoints.  H(s) is diagonalised
+    once (numpy's ``eigh``, like every decomposition in lrlab; see
+    ``linalg``) and P' is formed in its eigenbasis: with P the lowest
+    ``sector_dim`` levels, P'_ij = H'_ij / (E_i - E_j) for i in P and j
+    not, H'_ij / (E_j - E_i) for j in P and i not, and 0 otherwise.  A
+    sector whose gap E_k - E_{k-1} is not positive raises ValueError.
     """
 
-    def proj(x):
-        return sector_gap(h_fn(x), sector_dim).projector
+    def at(x):
+        return _as_matrix(h_fn(x))
 
-    pdot = (
-        proj(s - 2 * step)
-        - 8.0 * proj(s - step)
-        + 8.0 * proj(s + step)
-        - proj(s + 2 * step)
+    h_dot = (
+        at(s - 2 * step) - 8.0 * at(s - step) + 8.0 * at(s + step) - at(s + 2 * step)
     ) / (12.0 * step)
-    p = proj(s)
-    return 1j * (pdot @ p - p @ pdot)
+    evals, vecs = np.linalg.eigh(at(s))
+    k = _sector_size(sector_dim, len(evals))
+    if not evals[k] - evals[k - 1] > 0:
+        raise ValueError("sector is not separated from the rest of the spectrum")
+    inside = np.arange(len(evals)) < k
+    cross = inside[:, None] != inside[None, :]
+    h_eig = vecs.conj().T @ h_dot @ vecs
+    # i[P', P]_ij = i P'_ij (p_j - p_i) = i H'_ij / (E_j - E_i) across the
+    # sector boundary, and 0 within either block
+    d = np.zeros_like(h_eig)
+    d[cross] = 1j * h_eig[cross] / (evals[None, :] - evals[:, None])[cross]
+    return vecs @ d @ vecs.conj().T
 
 
 def hastings_generator(h, h_prime, weight: WeightFunction) -> np.ndarray:

@@ -46,6 +46,7 @@ __all__ = [
     "number_operator",
     "parity_class",
     "conditional_expectation",
+    "expectation_block",
     "support_of",
     "car_table_residual",
 ]
@@ -381,31 +382,37 @@ def conditional_expectation(ctx: FockContext, sites, matrix) -> np.ndarray:
     normalized trace: unital, completely positive, norm-nonincreasing, and
     multiplicative over the subalgebra's own factors.
     """
+    sites = site_set(ctx.graph, sites)
+    block = expectation_block(ctx, sites, matrix)
+    if block.shape[0] == ctx.dim:
+        return block
+    out = np.zeros((ctx.dim, ctx.dim), dtype=np.complex128)
+    _scatter_add(out, block, *ctx.embedding(sites))
+    return out
+
+
+def expectation_block(ctx: FockContext, sites, matrix) -> np.ndarray:
+    """Block of the conditional expectation onto ``sites``, on their modes.
+
+    It is the normalized partial trace over the other modes, in the
+    convention of ``LocalOperator.block``: ``LocalOperator.from_block(ctx,
+    expectation_block(ctx, X, M), X)`` is the conditional expectation of M
+    onto X, built without a dim x dim array.
+    """
     if isinstance(matrix, LocalOperator):
         matrix = matrix.matrix
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (ctx.dim, ctx.dim):
         raise ValueError("matrix does not live on this context's Fock space")
     sites = site_set(ctx.graph, sites)
-    front = ctx.modes_of_sites(sites)
-    if len(front) == ctx.n_modes:
+    lo = 2 ** (len(sites) * ctx.spins)
+    if lo == ctx.dim:
         return matrix.copy()
-    if not front:
-        return np.eye(ctx.dim, dtype=np.complex128) * (np.trace(matrix) / ctx.dim)
-
-    index, sign = _mode_permutation(ctx.n_modes, front)
-    lo = 2 ** len(front)
     hi = ctx.dim // lo
-
+    index, sign = ctx.embedding(sites)
     # rotate: entry (m, m') of the reordered matrix
     rot = (sign[:, None] * sign[None, :]) * matrix[np.ix_(index, index)]
-    rot4 = rot.reshape(hi, lo, hi, lo)
-    block = np.einsum("alam->lm", rot4) / hi
-    emb = np.kron(np.eye(hi), block)
-
-    out = np.empty_like(matrix)
-    out[np.ix_(index, index)] = (sign[:, None] * sign[None, :]) * emb
-    return out
+    return np.einsum("alam->lm", rot.reshape(hi, lo, hi, lo)) / hi
 
 
 def support_of(ctx: FockContext, matrix, tol: float = 1e-10) -> tuple:

@@ -152,6 +152,9 @@ def test_spectral_flow_run(tmp_path):
     assert summary["ok"] is True
     assert summary["deviation_kato"] <= 1e-6
     assert summary["deviation_hastings"] <= 1e-6
+    for kind in ("kato", "hastings"):
+        assert 0.0 <= summary[f"defect_{kind}"] <= 1e-10
+        assert summary[f"unitarity_{kind}"] <= 1e-10
     assert summary["min_gap"] >= 0.5
     assert len(rows) == 6
     assert float(rows[0]["deviation_kato"]) <= 1e-12

@@ -22,7 +22,7 @@ from lrlab.flow import (
     sector_gap,
     smooth_step,
 )
-from lrlab.fock import build_context, number_operator
+from lrlab.fock import build_context, conditional_expectation, number_operator
 from lrlab.interactions import assemble, model
 from lrlab.lattice import build_lattice, fatten
 from lrlab.linalg import op_norm
@@ -210,6 +210,24 @@ def test_layer_split_telescopes():
         layer_split(ctx, m, ())
 
 
+@pytest.mark.parametrize("shape, spins, base", [(("path", 5), 1, (2,)), (("ring", 3), 2, (0,))])
+def test_layer_split_blocks_match_dense_expectations(shape, spins, base):
+    g = build_lattice(*shape)
+    ctx = build_context(g, spins)
+    m = random_hermitian(np.random.default_rng(6), ctx.dim)
+    pieces = layer_split(ctx, m, base)
+    prev = None
+    for j, piece in enumerate(pieces):
+        region = fatten(g, base, j)
+        assert piece.support == region
+        assert piece.block.shape == (2 ** (len(region) * spins),) * 2
+        cur = conditional_expectation(ctx, region, m)
+        want = cur if prev is None else cur - prev
+        assert np.abs(piece.dense() - want).max() <= 1e-12
+        prev = cur
+    assert np.abs(prev - m).max() <= 1e-12
+
+
 def test_extract_interaction_reassembles_generator():
     g = build_lattice("path", 4)
     ctx = build_context(g)
@@ -273,6 +291,41 @@ def test_kato_and_hastings_agree_off_diagonal():
     assert op_norm(p @ (d_k - d_h) @ q) <= 1e-8
     assert op_norm(d_k - d_k.conj().T) <= 1e-10
     assert op_norm(d_h - d_h.conj().T) <= 1e-12
+
+
+def kato_by_projector_difference(h_fn, s, sector_dim, step=1e-4):
+    """D = i[P', P] with P' a fourth-order difference of five projectors."""
+
+    def proj(x):
+        return sector_gap(h_fn(x), sector_dim).projector
+
+    pdot = (
+        proj(s - 2 * step) - 8.0 * proj(s - step) + 8.0 * proj(s + step) - proj(s + 2 * step)
+    ) / (12.0 * step)
+    p = proj(s)
+    return 1j * (pdot @ p - p @ pdot)
+
+
+@pytest.mark.parametrize("sector_dim", [1, 2])
+def test_kato_generator_matches_projector_difference(sector_dim):
+    ctx, h_fn, h_hop = chain_family()
+    for s in (0.0, 0.35, 1.0):
+        assert sector_gap(h_fn(s), sector_dim).gap > 0.3
+        d = kato_generator(h_fn, s, sector_dim)
+        assert np.abs(d - d.conj().T).max() <= 1e-12
+        assert op_norm(d - kato_by_projector_difference(h_fn, s, sector_dim)) <= 1e-9
+
+
+def test_kato_generator_rejects_bad_sectors():
+    def h_fn(s):
+        return np.diag([0.0, 1.0, 1.0, 2.0]) + s * np.ones((4, 4))
+
+    assert np.isfinite(kato_generator(h_fn, 0.0, 1)).all()
+    with pytest.raises(ValueError, match="not separated"):
+        kato_generator(h_fn, 0.0, 2)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="proper nonempty subset"):
+            kato_generator(h_fn, 0.0, k)
 
 
 @pytest.mark.parametrize("kind", ["kato", "hastings"])
