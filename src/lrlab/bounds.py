@@ -26,11 +26,18 @@ Curve families, from crude to sharp:
 The iteration requires the split radius to stay strictly above 1; radii
 r^sigma <= 1 fall back to the finite-range value, which the trivial cap
 absorbs at small r anyway.
+
+``CURVE_FAMILIES`` is the one list of families: per family it holds the
+parameter names with their types and defaults, the admissibility check
+and the builder.  ``curve`` builds through it and ``curve_problems``
+checks a spec against it without computing anything, so the config
+validator and the runner cannot disagree about a family.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,13 +66,17 @@ __all__ = [
     "stretched_light_cone_bound",
     "BoundIteration",
     "iterate_bound",
+    "CurveFamily",
+    "CURVE_FAMILIES",
     "curve",
+    "curve_problems",
     "certify",
     "CertificateReport",
 ]
 
 TRIVIAL_CAP = 2.0
 SPLIT_RADIUS_MIN = 1.0 + 1e-9
+HEAD_GRID = 256  # Riemann cells on the head interval of the continuum norm
 
 
 def _exp(x: float) -> float:
@@ -136,41 +147,46 @@ class BoundParams:
         return min(self.size_x, self.size_y)
 
     @classmethod
-    def from_interaction(
+    def from_norms(
         cls,
-        phi,
+        graph: LatticeGraph,
         alpha: float,
-        support_x=(0,),
-        support_y=(0,),
-        f_mode: str = "exact",
-        grid_points: int = 101,
+        norm_alpha: float,
+        norm_alpha_weighted: float,
+        size_x: int = 1,
+        size_y: int = 1,
     ) -> "BoundParams":
-        if isinstance(phi, TimeDependentInteraction):
-            ctx = phi.sample(phi.interval[0]).ctx
-            na = time_sup_norm(phi, alpha, 0, grid_points)
-            na1 = time_sup_norm(phi, alpha, 1, grid_points)
-        elif isinstance(phi, Interaction):
-            ctx = phi.ctx
-            na = interaction_norm(phi, alpha, 0)
-            na1 = interaction_norm(phi, alpha, 1)
-        else:
-            raise TypeError("need an Interaction or TimeDependentInteraction")
-        g = ctx.graph
-        growth = certify_growth(g)
-        f = f_alpha_norm(g, alpha, f_mode)
-        v = 2.0 * math.e * f * na
+        """Growth constants, ||F_alpha|| and the speed pair from the decay norms."""
+        growth = certify_growth(graph)
+        f = f_alpha_norm(graph, alpha, "exact")
+        v = 2.0 * math.e * f * norm_alpha
         return cls(
             alpha=alpha,
-            dim=g.dim,
+            dim=graph.dim,
             c_surface=growth.c_surface,
             c_volume=growth.c_volume,
             speed=v,
-            speed_max=max(v, na1),
-            norm_alpha=na,
-            norm_alpha_weighted=na1,
+            speed_max=max(v, norm_alpha_weighted),
+            norm_alpha=norm_alpha,
+            norm_alpha_weighted=norm_alpha_weighted,
             f_norm=f,
-            size_x=len(tuple(support_x)),
-            size_y=len(tuple(support_y)),
+            size_x=size_x,
+            size_y=size_y,
+        )
+
+    @classmethod
+    def from_interaction(
+        cls, phi, alpha: float, support_x=(0,), support_y=(0,)
+    ) -> "BoundParams":
+        if isinstance(phi, TimeDependentInteraction):
+            ctx, norm = phi.sample(phi.interval[0]).ctx, time_sup_norm
+        elif isinstance(phi, Interaction):
+            ctx, norm = phi.ctx, interaction_norm
+        else:
+            raise TypeError("need an Interaction or TimeDependentInteraction")
+        na, na1 = norm(phi, alpha, 0), norm(phi, alpha, 1)
+        return cls.from_norms(
+            ctx.graph, alpha, na, na1, len(tuple(support_x)), len(tuple(support_y))
         )
 
 
@@ -272,16 +288,21 @@ def stretched_light_cone_bound(
         return TRIVIAL_CAP * p.min_size
     d = p.dim
     nu_dt = p.speed_max * dt
-    c_sigma = (
-        constant
-        * (sigma - lo) ** -2.0
-        * (1.0 / (1.0 - sigma))
-        * math.gamma(d / (1.0 - sigma))
-    )
     lead = _exp(nu_dt - r ** (1.0 - sigma))
-    rest = c_sigma * (r + 1.0) ** (-sigma * p.alpha) * nu_dt * (
-        1.0 + nu_dt ** (d / (1.0 - sigma))
-    )
+    try:
+        c_sigma = (
+            constant
+            * (sigma - lo) ** -2.0
+            * (1.0 / (1.0 - sigma))
+            * math.gamma(d / (1.0 - sigma))
+        )
+        rest = c_sigma * (r + 1.0) ** (-sigma * p.alpha) * nu_dt * (
+            1.0 + nu_dt ** (d / (1.0 - sigma))
+        )
+    except OverflowError:
+        # sigma near 1 or near lo: the term is beyond floating point, and
+        # the trivial cap takes over, except at dt = 0 where it vanishes
+        rest = math.inf if nu_dt > 0 else 0.0
     return 2.0 * p.min_size * (lead + rest)
 
 
@@ -314,7 +335,6 @@ class BoundIteration:
         dt: float,
         schedule,
         norm_route: str = "exact",
-        head_grid: int = 256,
     ):
         if dt < 0:
             raise ValueError("time must be nonnegative")
@@ -328,7 +348,6 @@ class BoundIteration:
         self.dt = float(dt)
         self.schedule = tuple(float(s) for s in schedule)
         self.norm_route = norm_route
-        self.head_grid = head_grid
         self.diam = graph.diameter()
         # per-site histogram of distances: hist[x, d] = |{z : d(x,z) = d}|
         self.hist = np.stack(
@@ -448,7 +467,7 @@ class BoundIteration:
         turnoff = max(max_range ** (1.0 / sigma), head_lo)  # beyond: base branch
         total = TRIVIAL_CAP  # the r = 0 row entry
 
-        grid = np.geomspace(head_lo, turnoff, self.head_grid + 1)
+        grid = np.geomspace(head_lo, turnoff, HEAD_GRID + 1)
         weights = (grid[1:] ** p.dim - grid[:-1] ** p.dim) / p.dim
         total += c_shell * float(np.sum(majorant(grid[:-1]) * weights))
         # tail: beyond the turnoff the curve is cap(2 exp(v dt - rho/R))
@@ -556,48 +575,135 @@ def iterate_bound(
     )
 
 
+# ---------------------------------------------------------------------------
+# the curve-family registry
+
+DIAMETER = "the lattice diameter"  # a default resolved against the graph
+
+
+@dataclass(frozen=True)
+class CurveFamily:
+    """``params`` maps each name to (type, default), a None default marking
+    a required value.  ``check(values, alpha, dim, distance)`` yields why
+    the values as given (None: missing, or the graph is unknown) cannot be
+    evaluated down to r = ``distance`` (None: unknown).  ``build(p, graph,
+    values, extra)`` gets typed values plus the other options of ``curve``.
+    """
+
+    name: str
+    params: dict
+    check: Callable
+    build: Callable
+
+    def resolve(self, opt: dict, graph: LatticeGraph | None = None) -> dict:
+        diam = None if graph is None else graph.diameter()
+        return {k: opt.get(k, diam if d == DIAMETER else d) for k, (_, d) in self.params.items()}
+
+
+def _closed_form(name: str, params: dict, check, bound, label: str) -> CurveFamily:
+    """A family evaluated by ``bound(p, r, dt, **values)``, labelled ``name(label)``."""
+
+    def build(p, graph, values, extra):
+        return BoundCurve(
+            f"{name}({label.format(**values)})",
+            lambda r, dt: bound(p, r, dt, **values),
+            {**values, "params": p},
+        )
+
+    return CurveFamily(name, params, check, build)
+
+
+def _range_check(v, alpha, dim, distance):
+    if v["max_range"] is not None and float(v["max_range"]) < 1:
+        yield f"max_range must be at least 1 (default: {DIAMETER}), got {v['max_range']}"
+
+
+def _tight_check(v, alpha, dim, distance):
+    yield from _range_check(v, alpha, dim, distance)
+    if distance is not None and distance < 1:
+        yield f"needs disjoint supports (r >= 1), evaluated at r = {distance:g}"
+
+
+def _split_check(v, alpha, dim, distance):
+    if v["split_range"] is None or float(v["split_range"]) <= 0:
+        yield "needs a positive split_range"
+    elif float(v["split_range"]) < 1:
+        yield f"split_range must be at least 1, got {v['split_range']}"
+
+
+def _sigma_check(v, alpha, dim, distance):
+    lo = (dim + 1.0) / (alpha + 1.0)
+    if v["sigma"] is None:
+        yield "needs a sigma"
+    elif not lo < float(v["sigma"]) < 1.0:
+        yield (
+            f"sigma {v['sigma']} outside the admissible interval ({lo:.6g}, 1) set by"
+            f" (D+1)/(alpha+1) with D={dim}, alpha={alpha:g}"
+        )
+
+
+def _stretched_check(v, alpha, dim, distance):
+    yield from _sigma_check(v, alpha, dim, distance)
+    if v["constant"] is None:
+        yield "needs a constant"
+
+
+def _depth_check(v, alpha, dim, distance):
+    if int(v["depth"]) < 1:
+        yield "depth must be at least 1"
+
+
+def _iterated(p, graph, values, extra):
+    if graph is None:
+        raise ValueError("the iterated family needs the lattice graph")
+    return iterate_bound(p, graph, **values, **extra)
+
+
+_RANGE, _R = {"max_range": (float, DIAMETER)}, "R={max_range:g}"
+CURVE_FAMILIES = {
+    fam.name: fam
+    for fam in (
+        _closed_form("finite_range", _RANGE, _range_check, finite_range_bound, _R),
+        _closed_form("finite_range_tight", _RANGE, _tight_check, finite_range_tight_bound, _R),
+        _closed_form(
+            "split_range", {"split_range": (float, None)}, _split_check, split_range_bound,
+            "R'={split_range:g}",
+        ),
+        _closed_form(
+            "power_split", {"sigma": (float, None)}, _sigma_check, power_split_bound,
+            "sigma={sigma:g}",
+        ),
+        _closed_form(
+            "stretched", {"sigma": (float, None), "constant": (float, None)}, _stretched_check,
+            stretched_light_cone_bound, "sigma={sigma:g}",
+        ),
+        CurveFamily("iterated", {"depth": (int, 2)}, _depth_check, _iterated),
+    )
+}
+
+
 def curve(p: BoundParams, family: str, graph: LatticeGraph | None = None, **opt) -> BoundCurve:
-    """Factory for the closed-form curve families."""
-    if family == "finite_range":
-        rng = float(opt["max_range"])
-        return BoundCurve(
-            f"finite_range(R={rng:g})",
-            lambda r, dt: finite_range_bound(p, r, dt, rng),
-            {"max_range": rng, "params": p},
-        )
-    if family == "finite_range_tight":
-        rng = float(opt["max_range"])
-        return BoundCurve(
-            f"finite_range_tight(R={rng:g})",
-            lambda r, dt: finite_range_tight_bound(p, r, dt, rng),
-            {"max_range": rng, "params": p},
-        )
-    if family == "split_range":
-        split = float(opt["split_range"])
-        return BoundCurve(
-            f"split_range(R'={split:g})",
-            lambda r, dt: split_range_bound(p, r, dt, split),
-            {"split_range": split, "params": p},
-        )
-    if family == "power_split":
-        sigma = float(opt["sigma"])
-        return BoundCurve(
-            f"power_split(sigma={sigma:g})",
-            lambda r, dt: power_split_bound(p, r, dt, sigma),
-            {"sigma": sigma, "params": p},
-        )
-    if family == "stretched":
-        sigma, constant = float(opt["sigma"]), float(opt["constant"])
-        return BoundCurve(
-            f"stretched(sigma={sigma:g})",
-            lambda r, dt: stretched_light_cone_bound(p, r, dt, sigma, constant),
-            {"sigma": sigma, "constant": constant, "params": p},
-        )
-    if family == "iterated":
-        if graph is None:
-            raise ValueError("the iterated family needs the lattice graph")
-        return iterate_bound(p, graph, **opt)
-    raise ValueError(f"unknown curve family {family!r}")
+    """Build a registered family; missing parameters take their defaults,
+    and options outside the registry reach ``iterate_bound`` only."""
+    fam = CURVE_FAMILIES.get(family)
+    if fam is None:
+        raise ValueError(f"unknown curve family {family!r}")
+    values = {}
+    for key, value in fam.resolve(opt, graph).items():
+        if value is None:
+            raise ValueError(f"the {family} family needs {key}")
+        values[key] = fam.params[key][0](value)
+    extra = {k: v for k, v in opt.items() if k not in fam.params}
+    return fam.build(p, graph, values, extra)
+
+
+def curve_problems(family, opt: dict, alpha, dim, graph=None, distance=None) -> list:
+    """Why ``curve(p, family, graph, **opt)`` would fail or raise when
+    evaluated down to r = ``distance``; computes nothing."""
+    fam = CURVE_FAMILIES.get(family)
+    if fam is None:
+        return [f"unknown curve family {family!r}"]
+    return list(fam.check(fam.resolve(opt, graph), alpha, dim, distance))
 
 
 # ---------------------------------------------------------------------------

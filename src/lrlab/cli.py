@@ -12,6 +12,11 @@ the numbers; each CSV row ends with the provenance id.  Identical config
 and seed give byte-identical files: reductions happen in grid order and
 nothing timestamps the output.  The ``threads`` setting is validated and
 accepted but runs are serial, so it cannot change a result.
+
+Validation computes nothing.  Curve specs are read and checked through
+``bounds.CURVE_FAMILIES``, the registry ``bounds.curve`` builds from, so
+a spec that validates is one the runner can build and evaluate at every
+distance the experiment uses.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .bounds import BoundParams, certify, curve
+from .bounds import CURVE_FAMILIES, BoundParams, certify, curve, curve_problems
 from .dynamics import lr_sweep
 from .flow import (
     automorphic_deviation,
@@ -41,7 +46,7 @@ from .flow import (
 )
 from .fock import DEFAULT_DIM_CAP, build_context, dim_cap, ladder, number_operator
 from .interactions import Interaction, assemble, model, random_two_body
-from .lattice import build_lattice
+from .lattice import build_lattice, set_distance
 from .lppl import lppl_measure, perturbed_atomic_chain
 from .spin import (
     commutator_series,
@@ -69,6 +74,7 @@ CONVENTIONS = {
 
 EVEN_KINDS = {"number", "hop", "pair"}
 ODD_KINDS = {"ladder"}
+_BASE_CURVE = {"family": "split_range", "split_range": 2.0}  # spin-compare default
 
 
 @dataclass(frozen=True)
@@ -101,10 +107,10 @@ def load_config(path: str) -> dict:
 # value shapes the runners read, per field; a tuple lists alternatives, a
 # dict a mapping's known keys and a one-element list a list's items
 _NUMBER, _INTEGER, _TEXT = "a number", "an integer", "a string"
-_CURVE = (_TEXT, {
-    "family": _TEXT, "max_range": _NUMBER, "split_range": _NUMBER,
-    "sigma": _NUMBER, "constant": _NUMBER, "depth": _INTEGER,
-})
+_CURVE = (_TEXT, {"family": _TEXT, **{
+    key: {float: _NUMBER, int: _INTEGER}[typ]
+    for fam in CURVE_FAMILIES.values() for key, (typ, _) in fam.params.items()
+}})
 _OBSERVABLE = {"kind": _TEXT, "site": _INTEGER, "sites": [_INTEGER]}
 _SHAPES = {
     "lattice": {"kind": _TEXT, "n": _INTEGER},
@@ -134,10 +140,17 @@ _SHAPES = {
 }
 
 
+def _truncates(value) -> bool:
+    """True for a float that int() would truncate, such as 1.5."""
+    return isinstance(value, float) and not value.is_integer()
+
+
 def _fits(value, scalar: str) -> bool:
     if scalar == _TEXT:
         return isinstance(value, str)
     if isinstance(value, (bool, list, dict)) or value is None:
+        return False
+    if scalar == _INTEGER and _truncates(value):
         return False
     try:
         (int if scalar == _INTEGER else float)(value)
@@ -213,6 +226,8 @@ def _grid_findings(field: str, spec, need_start_zero=False) -> list:
     try:
         start, stop = float(spec["start"]), float(spec["stop"])
         count = int(spec["count"])
+        if _truncates(spec["count"]):
+            raise ValueError("count is not an integer")
     except (KeyError, TypeError, ValueError, OverflowError):
         return [Finding(field, "expected numeric start, stop and integer count")]
     if count < 2:
@@ -224,61 +239,49 @@ def _grid_findings(field: str, spec, need_start_zero=False) -> list:
     return out
 
 
-def _curve_findings(specs, alpha: float, dim: int) -> list:
-    out = []
-    if not specs:
+def _curve_spec(spec) -> tuple:
+    """(family, options) of a curve item; keys its family does not take are ignored."""
+    if isinstance(spec, str):
+        return spec, {}
+    family = spec.get("family")
+    params = CURVE_FAMILIES[family].params if family in CURVE_FAMILIES else {}
+    return family, {k: spec[k] for k in params if k in spec}
+
+
+def _curve_findings(cfg, items, dim: int, graph, distance) -> list:
+    """Findings on alpha and on the (field, spec) curve items."""
+    alpha = cfg.get("alpha")
+    if alpha is None or float(alpha) <= dim:
+        return [Finding("alpha", f"must exceed the lattice dimension D={dim}")]
+    if not items:
         return [Finding("curves", "need at least one curve family")]
-    lo = (dim + 1.0) / (alpha + 1.0)
-    for k, spec in enumerate(specs):
-        if isinstance(spec, str):
-            spec = {"family": spec}
-        fam = spec.get("family")
-        field = f"curves[{k}]"
-        if fam not in (
-            "finite_range",
-            "finite_range_tight",
-            "split_range",
-            "power_split",
-            "stretched",
-            "iterated",
-        ):
-            out.append(Finding(field, f"unknown curve family {fam!r}"))
-            continue
-        if fam in ("power_split", "stretched"):
-            sigma = spec.get("sigma")
-            if sigma is None:
-                out.append(Finding(field, "needs a sigma"))
-            elif not lo < float(sigma) < 1.0:
-                out.append(
-                    Finding(
-                        field,
-                        f"sigma {sigma} outside the admissible interval "
-                        f"({lo:.6g}, 1) set by (D+1)/(alpha+1) with "
-                        f"D={dim}, alpha={alpha:g}",
-                    )
-                )
-        if fam == "split_range" and float(spec.get("split_range", 0.0)) <= 0:
-            out.append(Finding(field, "needs a positive split_range"))
-        if fam == "iterated" and int(spec.get("depth", 2)) < 1:
-            out.append(Finding(field, "depth must be at least 1"))
-    return out
+    return [
+        Finding(field, reason) for field, spec in items
+        for reason in curve_problems(*_curve_spec(spec), float(alpha), dim, graph, distance)
+    ]
 
 
-def _lattice_findings(cfg, sites_per_state: int) -> list:
-    out = []
+def _lattice_findings(cfg, sites_per_state: int) -> tuple:
+    """(findings, graph); the graph is built only when there are no findings."""
     lat = cfg.get("lattice")
     if not isinstance(lat, dict) or "kind" not in lat or "n" not in lat:
-        return [Finding("lattice", "expected {kind, n}")]
+        return [Finding("lattice", "expected {kind, n}")], None
     if lat["kind"] not in ("path", "ring", "square_patch", "square_torus"):
-        out.append(Finding("lattice.kind", f"unknown lattice family {lat['kind']!r}"))
-        return out
+        return [Finding("lattice.kind", f"unknown lattice family {lat['kind']!r}")], None
     n = int(lat["n"])
-    if n < 1 or (lat["kind"] == "ring" and n < 3):
-        out.append(Finding("lattice.n", "too few vertices for this family"))
-        return out
-    if lat["kind"] in ("square_patch", "square_torus"):
-        n = n * n
-    return out + _cap_findings("lattice.n", sites_per_state, n)
+    if n < 1 or (lat["kind"] in ("ring", "square_torus") and n < 3):
+        return [Finding("lattice.n", "too few vertices for this family")], None
+    sites = n * n if lat["kind"] in ("square_patch", "square_torus") else n
+    out = _cap_findings("lattice.n", sites_per_state, sites)
+    return out, None if out else build_lattice(lat["kind"], n)
+
+
+def _distance(graph, x, y):
+    """Distance of two site lists; None unless both are nonempty lists of sites on ``graph``."""
+    try:
+        return None if graph is None else set_distance(graph, x, y)
+    except (TypeError, ValueError):
+        return None
 
 
 def validate_config(cfg: dict) -> list:
@@ -309,14 +312,22 @@ def validate_config(cfg: dict) -> list:
         graph_dim = 2
 
     if kind in ("lr-verify", "bound-curves"):
-        out += _lattice_findings(cfg, 2)
-        alpha = cfg.get("alpha")
-        if alpha is None or float(alpha) <= graph_dim:
-            out.append(
-                Finding("alpha", f"must exceed the lattice dimension D={graph_dim}")
-            )
+        lattice_out, graph = _lattice_findings(cfg, 2)
+        out += lattice_out
+        # the smallest distance the curves are evaluated at
+        if kind == "lr-verify":
+            obs = cfg.get("observables", {})
+            sites = [
+                [spec.get("site")] if spec.get("kind") in ODD_KINDS else spec.get("sites")
+                for spec in (obs.get("a"), obs.get("b")) if isinstance(spec, dict)
+            ]
+            distance = _distance(graph, *sites) if len(sites) == 2 else None
         else:
-            out += _curve_findings(cfg.get("curves", []), float(alpha), graph_dim)
+            grid = cfg.get("grid", {})
+            r_out = _grid_findings("grid.r", grid.get("r"), need_start_zero=True)
+            distance = None if r_out else float(grid["r"]["start"])
+        items = [(f"curves[{k}]", spec) for k, spec in enumerate(cfg.get("curves") or [])]
+        out += _curve_findings(cfg, items, graph_dim, graph, distance)
         mspec = cfg.get("model", {})
         if mspec.get("name") not in (
             "long_range_hopping",
@@ -337,7 +348,6 @@ def validate_config(cfg: dict) -> list:
 
     if kind == "lr-verify":
         out += _grid_findings("times", cfg.get("times"), need_start_zero=True)
-        obs = cfg.get("observables", {})
         parities = []
         for slot in ("a", "b"):
             spec = obs.get(slot)
@@ -360,12 +370,10 @@ def validate_config(cfg: dict) -> list:
             )
 
     if kind == "bound-curves":
-        grid = cfg.get("grid", {})
-        out += _grid_findings("grid.r", grid.get("r"))
-        out += _grid_findings("grid.dt", grid.get("dt"), need_start_zero=True)
+        out += r_out + _grid_findings("grid.dt", grid.get("dt"), need_start_zero=True)
 
     if kind == "spectral-flow":
-        out += _lattice_findings(cfg, 2)
+        out += _lattice_findings(cfg, 2)[0]
         lat = cfg.get("lattice", {})
         fields = cfg.get("fields", [])
         if isinstance(lat.get("n"), int) and len(fields) != lat["n"]:
@@ -410,20 +418,19 @@ def validate_config(cfg: dict) -> list:
         out += _grid_findings("s_grid", cfg.get("s_grid", {"start": 0, "stop": 1, "count": 5}))
 
     if kind == "spin-compare":
+        obs = cfg.get("observables", {})
         spin = cfg.get("spin", {})
         local_dim = int(spin.get("local_dim", 2))
         if local_dim < 2:
             out.append(Finding("spin.local_dim", "must be at least 2"))
-        out += _lattice_findings(cfg, max(local_dim, 2))
+        lattice_out, graph = _lattice_findings(cfg, max(local_dim, 2))
+        out += lattice_out
         if spin.get("model", "random") not in ("random", "ising"):
             out.append(Finding("spin.model", "must be 'random' or 'ising'"))
-        alpha = cfg.get("alpha")
-        if alpha is None or float(alpha) <= graph_dim:
-            out.append(Finding("alpha", f"must exceed the lattice dimension D={graph_dim}"))
-        else:
-            out += _curve_findings([cfg.get("base_curve", {"family": "split_range", "split_range": 2.0})], float(alpha), graph_dim)
+        items = [("base_curve", cfg.get("base_curve", _BASE_CURVE))]
+        distance = _distance(graph, obs.get("x"), obs.get("y"))
+        out += _curve_findings(cfg, items, graph_dim, graph, distance)
         out += _grid_findings("times", cfg.get("times"), need_start_zero=True)
-        obs = cfg.get("observables", {})
         for slot in ("x", "y"):
             if not obs.get(slot):
                 out.append(Finding(f"observables.{slot}", "need a nonempty site list"))
@@ -441,28 +448,6 @@ def _grid(spec) -> np.ndarray:
 def _params_record(p: BoundParams) -> dict:
     d = dataclasses.asdict(p)
     return {k: (float(v) if isinstance(v, (int, float, np.floating)) else v) for k, v in d.items()}
-
-
-def _normalize_curves(specs):
-    out = []
-    for spec in specs:
-        out.append({"family": spec} if isinstance(spec, str) else dict(spec))
-    return out
-
-
-def _make_curve(p: BoundParams, graph, spec: dict):
-    fam = spec["family"]
-    if fam in ("finite_range", "finite_range_tight"):
-        return curve(p, fam, max_range=float(spec.get("max_range", graph.diameter())))
-    if fam == "split_range":
-        return curve(p, fam, split_range=float(spec["split_range"]))
-    if fam == "power_split":
-        return curve(p, fam, sigma=float(spec["sigma"]))
-    if fam == "stretched":
-        return curve(p, fam, sigma=float(spec["sigma"]), constant=float(spec["constant"]))
-    if fam == "iterated":
-        return curve(p, fam, graph=graph, depth=int(spec.get("depth", 2)))
-    raise ConfigError([Finding("curves", f"unknown curve family {fam!r}")])
 
 
 def _fermi_observable(ctx, spec: dict):
@@ -529,7 +514,7 @@ def _run_lr_verify(cfg, rng):
     p = BoundParams.from_interaction(
         phi, float(cfg["alpha"]), support_x=a.support, support_y=b.support
     )
-    curves = [_make_curve(p, g, s) for s in _normalize_curves(cfg["curves"])]
+    curves = [curve(p, fam, g, **opt) for fam, opt in map(_curve_spec, cfg["curves"])]
     rep = certify(series, curves, slack=float(cfg.get("slack", 1e-9)))
     rows = list(rep.rows())
     for row in rows:
@@ -558,7 +543,7 @@ def _run_bound_curves(cfg, rng):
     ctx = build_context(g)
     phi, _ = _build_interaction(ctx, cfg["model"], rng)
     p = BoundParams.from_interaction(phi, float(cfg["alpha"]))
-    curves = [_make_curve(p, g, s) for s in _normalize_curves(cfg["curves"])]
+    curves = [curve(p, fam, g, **opt) for fam, opt in map(_curve_spec, cfg["curves"])]
     rs = _grid(cfg["grid"]["r"])
     dts = _grid(cfg["grid"]["dt"])
     points = [(float(r), float(dt)) for r in rs for dt in dts]
@@ -707,16 +692,14 @@ def _run_spin_compare(cfg, rng):
     times = _grid(cfg["times"])
     series = commutator_series(g, h, a, b, x, y, times)
     p_unit = spin_bound_params(g, norms, float(cfg["alpha"]))
-    base_spec = _normalize_curves(
-        [cfg.get("base_curve", {"family": "split_range", "split_range": 2.0})]
-    )[0]
-    f = _make_curve(p_unit, g, base_spec)
+    fam, opt = _curve_spec(cfg.get("base_curve", _BASE_CURVE))
+    f = curve(p_unit, fam, g, **opt)
     single = trick_bound(g, x, y, f, mode="single")
     double = trick_bound(g, x, y, f, mode="double")
     # the curve a fermionic system would be limited to: both observables
     # even, support-size factor min(|X|, |Y|) built into the parameters
     p_pair = dataclasses.replace(p_unit, size_x=len(x), size_y=len(y))
-    even_pair = _make_curve(p_pair, g, base_spec)
+    even_pair = curve(p_pair, fam, g, **opt)
     rep = certify(series, [single, double], slack=float(cfg.get("slack", 1e-9)))
     rows = []
     scale = series.norm_a * series.norm_b

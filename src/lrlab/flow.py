@@ -58,7 +58,6 @@ __all__ = [
     "extract_interaction",
     "kato_generator",
     "hastings_generator",
-    "flow_generator",
     "automorphic_deviation",
 ]
 
@@ -420,29 +419,6 @@ def hastings_generator(h, h_prime, weight: WeightFunction) -> np.ndarray:
     """Quasi-local flow generator D = -J_{H(s)}(H'(s))."""
     out, _ = inverse_liouvillian(h, h_prime, weight)
     return -out
-
-
-def flow_generator(
-    h_fn,
-    dh_fn,
-    gap: float,
-    kind: str = "hastings",
-    sector_dim: int = 1,
-    soft: float = 0.0,
-    step: float = 1e-4,
-):
-    """Generator callable s -> D(s) for the flow of a differentiable family.
-
-    ``kato`` is the exact-diagonalization reference; ``hastings`` applies
-    the quasi-local inverse to the family derivative, by default with a
-    degenerate annihilation window (soft = 0) so only the gap scale enters.
-    """
-    if kind == "kato":
-        return lambda s: kato_generator(h_fn, s, sector_dim, step)
-    if kind == "hastings":
-        w = WeightFunction(gap, soft)
-        return lambda s: hastings_generator(h_fn(s), dh_fn(s), w)
-    raise ValueError("generator kind must be 'kato' or 'hastings'")
 
 
 def automorphic_deviation(

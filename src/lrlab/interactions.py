@@ -19,7 +19,6 @@ families attain it at the interval endpoints).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +32,7 @@ __all__ = [
     "Interaction",
     "TimeDependentInteraction",
     "Model",
+    "decay_norm",
     "interaction_norm",
     "time_sup_norm",
     "assemble",
@@ -143,18 +143,27 @@ class Model:
         return assemble(self.interaction.sample(t), self.onsite, max_range)
 
 
-def interaction_norm(phi: Interaction, alpha: float, weight: int = 0) -> float:
-    """sup_z sum_{Z ni z} |Z|^weight ||Phi(Z)|| (diam Z + 1)^alpha."""
+def decay_norm(graph: LatticeGraph, term_norms, alpha: float, weight: int = 0) -> float:
+    """sup_z sum_{Z ni z} |Z|^weight ||Phi(Z)|| (diam Z + 1)^alpha.
+
+    ``term_norms`` yields (support, norm) pairs, supports as canonical
+    site tuples; fermionic and spin interactions both reduce to this.
+    """
     if weight < 0:
         raise ValueError("weight must be a nonnegative integer")
-    g = phi.ctx.graph
-    per_site = np.zeros(g.n_sites)
-    for key in phi.terms:
-        d = set_diameter(g, key)
-        contrib = len(key) ** weight * phi.term_norm(key) * (d + 1.0) ** alpha
+    per_site = np.zeros(graph.n_sites)
+    for key, nrm in term_norms:
+        d = set_diameter(graph, key)
+        contrib = len(key) ** weight * float(nrm) * (d + 1.0) ** alpha
         for z in key:
             per_site[z] += contrib
     return float(per_site.max(initial=0.0))
+
+
+def interaction_norm(phi: Interaction, alpha: float, weight: int = 0) -> float:
+    """sup_z sum_{Z ni z} |Z|^weight ||Phi(Z)|| (diam Z + 1)^alpha."""
+    norms = ((key, phi.term_norm(key)) for key in phi.terms)
+    return decay_norm(phi.ctx.graph, norms, alpha, weight)
 
 
 def time_sup_norm(
@@ -192,31 +201,12 @@ def assemble(phi: Interaction, onsite: dict | None = None, max_range=None) -> np
     return out
 
 
-def lr_velocity(
-    phi,
-    alpha: float,
-    f_norm: float | None = None,
-    grid_points: int = 101,
-) -> tuple[float, float]:
-    """Propagation speed pair (v, nu) for an interaction or a path.
+def lr_velocity(phi, alpha: float) -> tuple[float, float]:
+    """Propagation speed pair (v, nu) for an interaction or a path."""
+    from .bounds import BoundParams  # bounds builds on this module
 
-    ``f_norm`` overrides the decay-kernel norm (defaults to the exact one
-    on the interaction's graph).
-    """
-    if isinstance(phi, TimeDependentInteraction):
-        ctx = phi.sample(phi.interval[0]).ctx
-        norm_a = time_sup_norm(phi, alpha, 0, grid_points)
-        norm_a1 = time_sup_norm(phi, alpha, 1, grid_points)
-    else:
-        ctx = phi.ctx
-        norm_a = interaction_norm(phi, alpha, 0)
-        norm_a1 = interaction_norm(phi, alpha, 1)
-    if f_norm is None:
-        from .lattice import f_alpha_norm
-
-        f_norm = f_alpha_norm(ctx.graph, alpha, "exact")
-    v = 2.0 * math.e * f_norm * norm_a
-    return v, max(v, norm_a1)
+    p = BoundParams.from_interaction(phi, alpha)
+    return p.speed, p.speed_max
 
 
 # ---------------------------------------------------------------------------

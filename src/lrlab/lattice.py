@@ -85,29 +85,6 @@ class GrowthCertificate:
     volume_witness: tuple = field(default=(0, 0))
 
 
-def _dist_from_adjacency(adj: np.ndarray) -> np.ndarray:
-    """All-pairs BFS distances; raises if the graph is disconnected."""
-    n = adj.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int64)
-    neighbors = [np.flatnonzero(adj[v]) for v in range(n)]
-    for src in range(n):
-        dist[src, src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in neighbors[v]:
-                    if dist[src, w] < 0:
-                        dist[src, w] = d
-                        nxt.append(w)
-            frontier = nxt
-    if np.any(dist < 0):
-        raise ValueError("graph is disconnected")
-    return dist
-
-
 def build_lattice(family: str, size) -> LatticeGraph:
     """Construct one of the supported finite graph families.
 

@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundCurve, BoundParams, delta_cap
+from .bounds import BoundCurve, BoundParams, curve, delta_cap
 from .dynamics import CommutatorSeries, commutator_norms
 from .fock import build_context, dim_cap, ladder, number_operator
-from .interactions import model
+from .interactions import decay_norm, model
 from .lattice import (
     LatticeGraph,
     build_lattice,
-    certify_growth,
-    f_alpha_norm,
     set_distance,
     site_set,
 )
@@ -174,7 +172,6 @@ def spin_bound_params(
     alpha: float,
     size_x: int = 1,
     size_y: int = 1,
-    f_mode: str = "exact",
 ) -> BoundParams:
     """Curve parameters for a spin interaction given as {support: norm}.
 
@@ -184,31 +181,8 @@ def spin_bound_params(
     """
     if alpha <= graph.dim:
         raise ValueError("decay exponent must exceed the lattice dimension")
-    na = 0.0
-    for z in graph.vertices:
-        tot = 0.0
-        for key, nrm in term_norms.items():
-            sites = site_set(graph, key)
-            if z in sites:
-                diam = max(graph.distance(a, b) for a in sites for b in sites)
-                tot += float(nrm) * (1.0 + diam) ** alpha
-        na = max(na, tot)
-    growth = certify_growth(graph)
-    f = f_alpha_norm(graph, alpha, f_mode)
-    v = 2.0 * np.e * f * na
-    return BoundParams(
-        alpha=alpha,
-        dim=graph.dim,
-        c_surface=growth.c_surface,
-        c_volume=growth.c_volume,
-        speed=v,
-        speed_max=max(v, na),
-        norm_alpha=na,
-        norm_alpha_weighted=na,
-        f_norm=f,
-        size_x=size_x,
-        size_y=size_y,
-    )
+    na = decay_norm(graph, term_norms.items(), alpha)
+    return BoundParams.from_norms(graph, alpha, na, na, size_x, size_y)
 
 
 def _unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -378,8 +352,6 @@ def fermionic_obstruction_demo(times=(0.0, 0.1, 0.25, 0.5)) -> dict:
     next to the complement-sum fallback that replaces the trick for
     fermions.
     """
-    from .bounds import curve  # local import keeps module load light
-
     times = tuple(float(t) for t in times)
     # (i) dimension-4 oracle: two modes, disjoint singletons
     pair = build_context(build_lattice("path", 2))
@@ -394,21 +366,9 @@ def fermionic_obstruction_demo(times=(0.0, 0.1, 0.25, 0.5)) -> dict:
     ctx = build_context(g)
     hopping = model("long_range_hopping", ctx, J=1.0, alpha_tb=4.0)
     phi = hopping.interaction.sample(0.0)
+    # single-site supports: the parameters are already at unit size
     p = BoundParams.from_interaction(phi, alpha=3.0, support_x=(0,), support_y=(7,))
-    unit = BoundParams(
-        alpha=p.alpha,
-        dim=p.dim,
-        c_surface=p.c_surface,
-        c_volume=p.c_volume,
-        speed=p.speed,
-        speed_max=p.speed_max,
-        norm_alpha=p.norm_alpha,
-        norm_alpha_weighted=p.norm_alpha_weighted,
-        f_norm=p.f_norm,
-        size_x=1,
-        size_y=1,
-    )
-    f = curve(unit, "finite_range", max_range=float(g.diameter()))
+    f = curve(p, "finite_range", max_range=float(g.diameter()))
     trick = trick_bound(g, (0,), (7,), f, mode="single")
     h = hopping.hamiltonian(0.0)
     probe = commutator_series(

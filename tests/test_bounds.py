@@ -7,14 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lrlab.bounds import (
+    CURVE_FAMILIES,
     BoundCurve,
     BoundIteration,
     BoundParams,
     certify,
     curve,
+    curve_problems,
     delta_cap,
     finite_range_bound,
     finite_range_tight_bound,
@@ -30,7 +34,7 @@ from lrlab.bounds import (
 )
 from lrlab.dynamics import CommutatorSeries, lr_sweep
 from lrlab.fock import build_context, number_operator
-from lrlab.interactions import model
+from lrlab.interactions import interaction_norm, lr_velocity, model
 from lrlab.lattice import build_lattice
 
 
@@ -225,6 +229,13 @@ def test_params_from_interaction_consistency():
     assert abs(p.speed - 2.0 * math.e * f * p.norm_alpha) < 1e-12
     assert p.speed_max >= p.norm_alpha_weighted
     assert p.size_x == 1 and p.size_y == 2 and p.min_size == 1
+    # the one constructor from norms, which lr_velocity also goes through
+    direct = BoundParams.from_norms(g, 3.0, p.norm_alpha, p.norm_alpha_weighted, 1, 2)
+    assert direct == p
+    assert lr_velocity(m.interaction, 3.0) == (p.speed, p.speed_max)
+    phi = m.interaction.sample(0.0)
+    na, na1 = interaction_norm(phi, 3.0, 0), interaction_norm(phi, 3.0, 1)
+    assert BoundParams.from_interaction(phi, 3.0) == BoundParams.from_norms(g, 3.0, na, na1)
 
 
 # --------------------------------------------------------------------------
@@ -379,3 +390,70 @@ def test_curve_factory_families():
         curve(p, "nope")
     with pytest.raises(ValueError):
         curve(p, "iterated")  # needs the graph
+
+
+def test_curve_labels_and_registry_defaults():
+    p = params()
+    g = build_lattice("path", 8)
+    specs = [
+        ("finite_range", {}),
+        ("finite_range_tight", {"max_range": 3}),
+        ("split_range", {"split_range": 2.0}),
+        ("power_split", {"sigma": 0.7}),
+        ("stretched", {"sigma": 0.75, "constant": 1.0}),
+        ("iterated", {"depth": 1, "sigmas": (0.7,)}),
+    ]
+    assert [curve(p, fam, g, **opt).label for fam, opt in specs] == [
+        "finite_range(R=7)",
+        "finite_range_tight(R=3)",
+        "split_range(R'=2)",
+        "power_split(sigma=0.7)",
+        "stretched(sigma=0.75)",
+        "iterated(depth=1, exact)",
+    ]
+    assert [fam for fam, _ in specs] == list(CURVE_FAMILIES)
+    with pytest.raises(ValueError, match="needs max_range"):
+        curve(p, "finite_range")  # the default range needs the graph
+    with pytest.raises(ValueError, match="needs constant"):
+        curve(p, "stretched", sigma=0.75)
+    assert curve_problems("nope", {}, 3.0, 1) == ["unknown curve family 'nope'"]
+    assert curve_problems("finite_range", {}, 3.0, 1) == []  # no graph: range unknown
+    assert curve_problems("finite_range", {}, 3.0, 1, build_lattice("path", 1)) == [
+        "max_range must be at least 1 (default: the lattice diameter), got 0"
+    ]
+
+
+def test_stretched_curve_saturates_instead_of_overflowing():
+    p = params(speed_max=40.0)
+    c = curve(p, "stretched", sigma=0.999, constant=1.0)
+    assert c(3.0, 0.5) == 2.0
+    assert c(3.0, 0.0) == pytest.approx(2.0 * math.exp(-(3.0**0.001)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(list(CURVE_FAMILIES)),
+    values=st.fixed_dictionaries(
+        {},
+        optional={
+            "max_range": st.floats(-1.0, 9.0),
+            "split_range": st.floats(-1.0, 4.0),
+            "sigma": st.floats(-0.5, 1.5),
+            "constant": st.floats(-3.0, 3.0),
+            "depth": st.integers(-1, 2),
+        },
+    ),
+    n=st.integers(1, 6),
+    distance=st.integers(0, 3),
+    speed=st.floats(0.0, 50.0),
+)
+def test_curve_problems_admit_only_evaluable_specs(family, values, n, distance, speed):
+    p = params(speed=speed, speed_max=max(speed, 1.0))
+    g = build_lattice("path", n)
+    opt = {k: v for k, v in values.items() if k in CURVE_FAMILIES[family].params}
+    if curve_problems(family, opt, p.alpha, p.dim, g, distance):
+        return
+    c = curve(p, family, g, **opt)
+    for r in range(distance, g.diameter() + 2):
+        for dt in (0.0, 0.4, 3.0):
+            assert c(r, dt) <= 2.0

@@ -215,6 +215,10 @@ def test_main_verbs(tmp_path, capsys):
         ("lr-verify", lambda c: c.update(alpha="abc"), "alpha"),
         ("lppl", lambda c: c.update(chain={"n": "eight"}), "chain.n"),
         ("spectral-flow", lambda c: c.update(gap=3), "gap"),
+        ("bound-curves", lambda c: c["curves"][3].update(depth=1.5), "curves[3].depth"),
+        pytest.param(
+            "lppl", lambda c: c["chain"].update(n=8.7), "chain.n", id="lppl-fractional-chain.n"
+        ),
     ],
 )
 def test_malformed_values_give_findings_and_exit_2(kind, fn, field, tmp_path, capsys):
@@ -228,6 +232,76 @@ def test_malformed_values_give_findings_and_exit_2(kind, fn, field, tmp_path, ca
     assert out.out.startswith(f"{field}: expected")
     assert "Traceback" not in out.out + out.err
     assert main(["run", str(path), "-o", str(tmp_path / "run")]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind,fn,field,phrase",
+    [
+        (
+            "bound-curves",
+            lambda c: c["curves"].append({"family": "stretched", "sigma": 0.9}),
+            "curves[4]",
+            "needs a constant",
+        ),
+        (
+            "bound-curves",
+            lambda c: c["curves"].__setitem__(0, {"family": "finite_range", "max_range": 0.5}),
+            "curves[0]",
+            "max_range must be at least 1",
+        ),
+        ("bound-curves", lambda c: c["lattice"].update(n=1), "curves[0]", "lattice diameter), got 0"),
+        (
+            "bound-curves",
+            lambda c: c["curves"].__setitem__(1, {"family": "split_range", "split_range": 0.5}),
+            "curves[1]",
+            "split_range must be at least 1",
+        ),
+        (
+            "bound-curves",
+            lambda c: (
+                c["curves"].append({"family": "finite_range_tight"}),
+                c["grid"]["r"].update(start=0.0),
+            ),
+            "curves[4]",
+            "needs disjoint supports",
+        ),
+        (
+            "lr-verify",
+            lambda c: (
+                c["curves"].append({"family": "finite_range_tight"}),
+                c["observables"].update(b={"kind": "number", "sites": [0]}),
+            ),
+            "curves[4]",
+            "needs disjoint supports",
+        ),
+        (
+            "spin-compare",
+            lambda c: c.update(base_curve={"family": "split_range", "split_range": 0.5}),
+            "base_curve",
+            "split_range must be at least 1",
+        ),
+        ("bound-curves", lambda c: c["grid"]["r"].update(start=-1.0), "grid.r", "nonnegative"),
+        ("lr-verify", lambda c: c["times"].update(count=20.5), "times", "integer count"),
+        (
+            "spin-compare",
+            lambda c: c.update(lattice={"kind": "square_torus", "n": 2}),
+            "lattice.n",
+            "too few vertices",
+        ),
+    ],
+)
+def test_specs_the_runner_rejects_are_findings(kind, fn, field, phrase, tmp_path, capsys):
+    cfg = mutate(kind, fn)
+    findings = validate_config(cfg)
+    assert [f.field for f in findings] == [field]
+    assert phrase in findings[0].reason
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "-o", str(tmp_path / "run")]) == 2
+    out = capsys.readouterr()
+    assert f"{field}: " in out.err
+    assert "Traceback" not in out.out + out.err
 
 
 yaml_values = st.recursive(
