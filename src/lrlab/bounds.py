@@ -646,6 +646,8 @@ def _stretched_check(v, alpha, dim, distance):
     yield from _sigma_check(v, alpha, dim, distance)
     if v["constant"] is None:
         yield "needs a constant"
+    elif float(v["constant"]) <= 0:
+        yield f"constant must be positive, got {v['constant']}"
 
 
 def _depth_check(v, alpha, dim, distance):

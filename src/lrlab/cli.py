@@ -284,6 +284,19 @@ def _distance(graph, x, y):
         return None
 
 
+def _sites_findings(field: str, sites, graph, count: int | None = None) -> list:
+    """Findings on an observable's site list: nonempty, ``count`` long if
+    given, and on the lattice (checked when the graph is built)."""
+    if not sites:
+        return [Finding(field, "need a nonempty site list")]
+    if count is not None and len(sites) != count:
+        return [Finding(field, f"need exactly {count} sites, got {len(sites)}")]
+    off = [s for s in sites if graph is not None and not 0 <= s < graph.n_sites]
+    if off:
+        return [Finding(field, f"site {off[0]} is not on the lattice of {graph.n_sites} sites")]
+    return []
+
+
 def validate_config(cfg: dict) -> list:
     """Check every domain constraint without running anything.
 
@@ -358,8 +371,19 @@ def validate_config(cfg: dict) -> list:
                         "kind must be one of number, hop, pair, ladder",
                     )
                 )
+            elif spec["kind"] in ODD_KINDS:
+                parities.append("odd")
+                if spec.get("site") is None:
+                    out.append(Finding(f"observables.{slot}.site", "need a site"))
+                else:
+                    out += _sites_findings(f"observables.{slot}.site", [spec["site"]], graph)
             else:
-                parities.append("even" if spec["kind"] in EVEN_KINDS else "odd")
+                parities.append("even")
+                count = None if spec["kind"] == "number" else 2
+                sites_out = _sites_findings(f"observables.{slot}.sites", spec.get("sites"), graph, count)
+                if not sites_out and spec["kind"] == "pair" and len(set(spec["sites"])) < 2:
+                    sites_out = [Finding(f"observables.{slot}.sites", "a pair needs two different sites")]
+                out += sites_out
         if parities == ["odd", "odd"]:
             out.append(
                 Finding(
@@ -432,8 +456,7 @@ def validate_config(cfg: dict) -> list:
         out += _curve_findings(cfg, items, graph_dim, graph, distance)
         out += _grid_findings("times", cfg.get("times"), need_start_zero=True)
         for slot in ("x", "y"):
-            if not obs.get(slot):
-                out.append(Finding(f"observables.{slot}", "need a nonempty site list"))
+            out += _sites_findings(f"observables.{slot}", obs.get(slot), graph)
     return out
 
 

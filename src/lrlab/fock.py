@@ -107,19 +107,70 @@ def _mode_permutation(n_modes: int, front) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
+def _copy_view(m: np.ndarray, index: np.ndarray, lo: int) -> np.ndarray:
+    """Strided view of ``m`` on the copies of a ``lo``-dimensional block.
+
+    Entry [a, l, l'] (each multi-index flattened in C order) is
+    m[index[a*lo + l], index[a*lo + l']].  A relabeling from
+    ``_mode_permutation`` puts each bit of the new index on one bit of the
+    old one, so every copy is a strided sub-grid of ``m``, and the copies
+    sit along its diagonal.
+    """
+    n = index.size.bit_length() - 1
+    k = lo.bit_length() - 1
+    weights = [int(w) for w in index[1 << np.arange(n - 1, -1, -1)]]  # high bit first
+    rs, cs = m.strides
+    strides = (
+        tuple(w * (rs + cs) for w in weights[: n - k])
+        + tuple(w * rs for w in weights[n - k :])
+        + tuple(w * cs for w in weights[n - k :])
+    )
+    return np.lib.stride_tricks.as_strided(m, (2,) * (n + k), strides)
+
+
 def _scatter_add(out: np.ndarray, block: np.ndarray, index: np.ndarray, sign: np.ndarray):
     """out += the embedding of ``block`` under the relabeling (index, sign).
 
     The embedding is 1 (x) block in the reordered basis: one copy of the
-    block per configuration of the modes outside the support.  Only the
-    block's nonzero entries are touched, and no two of them land on the
-    same entry of ``out``.
+    block per configuration of the modes outside the support, and no two
+    entries of the embedding land on the same entry of ``out``.  Sparse
+    blocks and blocks with many copies touch only the block's nonzero
+    entries; dense blocks with few copies add one signed copy at a time
+    through a strided view, so no temporary exceeds one block.
     """
     lo = block.shape[0]
-    idx = index.reshape(-1, lo)
-    sgn = sign.reshape(-1, lo)
+    hi = index.size // lo
+    if hi == 1:
+        # the support holds every mode, in ascending order: the identity
+        out += block
+        return
     r, c = np.nonzero(block)
-    out[idx[:, r], idx[:, c]] += (sgn[:, r] * sgn[:, c]) * block[r, c]
+    # an indexed entry costs about eight strided ones
+    if hi >= lo or 8 * r.size <= lo * lo + 2048:
+        idx = index.reshape(-1, lo)
+        sgn = sign.reshape(-1, lo)
+        out[idx[:, r], idx[:, c]] += (sgn[:, r] * sgn[:, c]) * block[r, c]
+    else:
+        view = _copy_view(out, index, lo)
+        copies = view.shape[: view.ndim - 2 * (lo.bit_length() - 1)]
+        shape = view.shape[len(copies) :]
+        for pos, s in zip(np.ndindex(copies), sign.reshape(hi, lo)):
+            view[pos] += (np.outer(s, s) * block).reshape(shape)
+
+
+def _partial_trace(m: np.ndarray, index: np.ndarray, sign: np.ndarray, lo: int) -> np.ndarray:
+    """Normalized trace of ``m`` over the copies of a ``lo``-dimensional block.
+
+    The inverse of ``_scatter_add``'s embedding up to the normalization:
+    the block of the conditional expectation, in the convention of
+    ``LocalOperator.block``.  Only the diagonal copies of ``m`` are read.
+    """
+    hi = index.size // lo
+    if hi == 1:
+        return m.copy()
+    copies = _copy_view(m, index, lo).reshape(hi, lo, lo)
+    s = sign.reshape(hi, lo)
+    return np.einsum("al,am,alm->lm", s, s, copies) / hi
 
 
 def _classify_parity(matrix: np.ndarray, p: np.ndarray, tol: float) -> str:
@@ -177,12 +228,16 @@ class FockContext:
             )
         return self._ladder_cache[key]
 
-    def embedding(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Signed relabeling (index, sign) that embeds blocks on ``sites``."""
-        return self._permutation(self.n_modes, self.modes_of_sites(sites))
-
-    def _permutation(self, n_modes: int, front: tuple):
-        """``_mode_permutation``, cached; block lifts use few-mode ones."""
+    def embedding(self, sites, within=None) -> tuple[np.ndarray, np.ndarray]:
+        """Signed relabeling (index, sign) that embeds blocks on ``sites``
+        into the full space, or into blocks on the larger site set
+        ``within``.  Cached per pair of site sets."""
+        if within is None:
+            n_modes, front = self.n_modes, self.modes_of_sites(sites)
+        else:
+            modes = self.modes_of_sites(within)
+            n_modes = len(modes)
+            front = tuple(modes.index(m) for m in self.modes_of_sites(sites))
         key = (n_modes, front)
         if key not in self._permutation_cache:
             self._permutation_cache[key] = _mode_permutation(n_modes, front)
@@ -283,9 +338,10 @@ class LocalOperator:
         self.add_to(out)
         return out
 
-    def add_to(self, out: np.ndarray):
-        """Add the operator into a dim x dim array in place."""
-        _scatter_add(out, self.block, *self.ctx.embedding(self.support))
+    def add_to(self, out: np.ndarray, support=None):
+        """Add the operator in place into a dim x dim array, or into a
+        block on the larger site set ``support``."""
+        _scatter_add(out, self.block, *self.ctx.embedding(self.support, support))
 
     def _compress(self) -> np.ndarray:
         index, sign = self.ctx.embedding(self.support)
@@ -303,11 +359,9 @@ class LocalOperator:
         """The block on a larger support."""
         if support == self.support:
             return self.block
-        modes = self.ctx.modes_of_sites(support)
-        own = self.ctx.modes_of_sites(self.support)
-        index, sign = self.ctx._permutation(len(modes), tuple(modes.index(m) for m in own))
-        out = np.zeros((index.size, index.size), dtype=np.complex128)
-        _scatter_add(out, self.block, index, sign)
+        side = 2 ** (len(support) * self.ctx.spins)
+        out = np.zeros((side, side), dtype=np.complex128)
+        self.add_to(out, support)
         return out
 
     def norm(self) -> float:
@@ -391,28 +445,26 @@ def conditional_expectation(ctx: FockContext, sites, matrix) -> np.ndarray:
     return out
 
 
-def expectation_block(ctx: FockContext, sites, matrix) -> np.ndarray:
+def expectation_block(ctx: FockContext, sites, matrix, within=None) -> np.ndarray:
     """Block of the conditional expectation onto ``sites``, on their modes.
 
     It is the normalized partial trace over the other modes, in the
     convention of ``LocalOperator.block``: ``LocalOperator.from_block(ctx,
     expectation_block(ctx, X, M), X)`` is the conditional expectation of M
-    onto X, built without a dim x dim array.
+    onto X, built without a dim x dim array.  Given ``within``, a site set
+    containing ``sites``, ``matrix`` is a block on ``within`` and the trace
+    runs over the modes of ``within`` alone; by the tower property this is
+    the expectation onto X of the operator that block represents.
     """
     if isinstance(matrix, LocalOperator):
         matrix = matrix.matrix
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (ctx.dim, ctx.dim):
+    side = ctx.dim if within is None else 2 ** (len(site_set(ctx.graph, within)) * ctx.spins)
+    if matrix.shape != (side, side):
         raise ValueError("matrix does not live on this context's Fock space")
     sites = site_set(ctx.graph, sites)
-    lo = 2 ** (len(sites) * ctx.spins)
-    if lo == ctx.dim:
-        return matrix.copy()
-    hi = ctx.dim // lo
-    index, sign = ctx.embedding(sites)
-    # rotate: entry (m, m') of the reordered matrix
-    rot = (sign[:, None] * sign[None, :]) * matrix[np.ix_(index, index)]
-    return np.einsum("alam->lm", rot.reshape(hi, lo, hi, lo)) / hi
+    index, sign = ctx.embedding(sites, within)
+    return _partial_trace(matrix, index, sign, 2 ** (len(sites) * ctx.spins))
 
 
 def support_of(ctx: FockContext, matrix, tol: float = 1e-10) -> tuple:

@@ -423,6 +423,15 @@ def test_curve_labels_and_registry_defaults():
     ]
 
 
+def test_stretched_needs_a_positive_constant():
+    # a nonpositive constant gives a curve below the measurement, not a bound
+    for constant in (-5.0, 0.0):
+        assert curve_problems("stretched", {"sigma": 0.75, "constant": constant}, 3.0, 1) == [
+            f"constant must be positive, got {constant}"
+        ]
+    assert curve_problems("stretched", {"sigma": 0.75, "constant": 1e-3}, 3.0, 1) == []
+
+
 def test_stretched_curve_saturates_instead_of_overflowing():
     p = params(speed_max=40.0)
     c = curve(p, "stretched", sigma=0.999, constant=1.0)

@@ -280,6 +280,43 @@ def test_malformed_values_give_findings_and_exit_2(kind, fn, field, tmp_path, ca
             "base_curve",
             "split_range must be at least 1",
         ),
+        (
+            "lr-verify",
+            lambda c: c["curves"].append({"family": "stretched", "sigma": 0.75, "constant": -5}),
+            "curves[4]",
+            "constant must be positive",
+        ),
+        (
+            "lr-verify",
+            lambda c: c["observables"].update(b={"kind": "number", "sites": [9]}),
+            "observables.b.sites",
+            "site 9 is not on the lattice of 5 sites",
+        ),
+        (
+            "lr-verify",
+            lambda c: c["observables"].update(b={"kind": "number"}),
+            "observables.b.sites",
+            "need a nonempty site list",
+        ),
+        (
+            "lr-verify",
+            lambda c: c["observables"].update(b={"kind": "hop", "sites": [1, 2, 3]}),
+            "observables.b.sites",
+            "need exactly 2 sites",
+        ),
+        (
+            "lr-verify",
+            lambda c: c["observables"].update(b={"kind": "pair", "sites": [1, 1]}),
+            "observables.b.sites",
+            "two different sites",
+        ),
+        (
+            "lr-verify",
+            lambda c: c["observables"].update(a={"kind": "ladder"}),
+            "observables.a.site",
+            "need a site",
+        ),
+        ("spin-compare", lambda c: c["observables"].update(y=[9]), "observables.y", "not on the lattice"),
         ("bound-curves", lambda c: c["grid"]["r"].update(start=-1.0), "grid.r", "nonnegative"),
         ("lr-verify", lambda c: c["times"].update(count=20.5), "times", "integer count"),
         (

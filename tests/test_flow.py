@@ -22,8 +22,8 @@ from lrlab.flow import (
     sector_gap,
     smooth_step,
 )
-from lrlab.fock import build_context, conditional_expectation, number_operator
-from lrlab.interactions import assemble, model
+from lrlab.fock import build_context, conditional_expectation, ladder, number_operator
+from lrlab.interactions import assemble, model, random_two_body
 from lrlab.lattice import build_lattice, fatten
 from lrlab.linalg import op_norm
 
@@ -386,3 +386,153 @@ def test_local_decomposition_applies_filter():
     assert pieces[0].support == term.support
     with pytest.raises(TypeError):
         local_decomposition(ctx, h, term.matrix, w)
+
+
+# --------------------------------------------------------------------------
+# the per-sector route against the dense formulas it replaces
+
+
+def dense_inverse(h, a, weight):
+    """J(A) = V (f o V^dagger A V) V^dagger from one eigh of the whole H."""
+    evals, vecs = np.linalg.eigh(h)
+    f = weight.filter_at(evals[:, None] - evals[None, :])
+    return vecs @ (f * (vecs.conj().T @ a @ vecs)) @ vecs.conj().T
+
+
+def dense_kato(h_fn, s, sector_dim=1, step=1e-4):
+    h_dot = (h_fn(s - 2 * step) - 8.0 * h_fn(s - step) + 8.0 * h_fn(s + step) - h_fn(s + 2 * step)) / (
+        12.0 * step
+    )
+    evals, vecs = np.linalg.eigh(h_fn(s))
+    inside = np.arange(len(evals)) < sector_dim
+    cross = inside[:, None] != inside[None, :]
+    h_eig = vecs.conj().T @ h_dot @ vecs
+    d = np.zeros_like(h_eig)
+    d[cross] = 1j * h_eig[cross] / (evals[None, :] - evals[:, None])[cross]
+    return vecs @ d @ vecs.conj().T
+
+
+def dense_layers(ctx, m, base):
+    """Layer j = E_{base fattened by j} - E_{base fattened by j-1}, all dense."""
+    g = ctx.graph
+    prev = conditional_expectation(ctx, base, m)
+    layers = {tuple(base): prev}
+    j = 0
+    while len(fatten(g, base, j)) < g.n_sites:
+        j += 1
+        cur = conditional_expectation(ctx, fatten(g, base, j), m)
+        layers[tuple(int(z) for z in fatten(g, base, j))] = cur - prev
+        prev = cur
+    return layers
+
+
+def criterion_07_chain():
+    g = build_lattice("path", 8)
+    ctx = build_context(g)
+    fields = [-2.0, 1.1, 1.7, 2.3, 2.9, 3.5, 4.1, 4.7]
+    h0 = sum(fields[z] * number_operator(ctx, [z]).matrix for z in g.vertices)
+    phi = model("long_range_hopping", ctx, J=0.3, alpha_tb=4.0).interaction.sample(0.0)
+    return ctx, h0 + assemble(phi), phi
+
+
+def test_extract_interaction_sector_route_matches_dense():
+    ctx, h, phi = criterion_07_chain()
+    w = build_weight_spectrum(1.0, 0.5)
+    _, info = inverse_liouvillian(h, phi.terms[(0, 1)].matrix, w)
+    assert info["sectors"] == [math.comb(8, k) for k in range(9)]
+    want: dict = {}
+    for term in phi.terms.values():
+        jm = dense_inverse(h, term.matrix, w)
+        for key, layer in dense_layers(ctx, jm, term.support).items():
+            want[key] = want.get(key, 0.0) + layer
+    got = extract_interaction(ctx, h, phi, w)
+    assert sorted(got.terms) == sorted(want) and len(want) == 57
+    scale = max(op_norm(m) for m in want.values())
+    for key, term in got.terms.items():
+        ref = 0.5 * (want[key] + want[key].conj().T)
+        assert op_norm(term.matrix - ref) <= 1e-12 * scale
+
+
+def test_inverse_liouvillian_parity_sectors_and_off_sector_input():
+    g = build_lattice("path", 5)
+    ctx = build_context(g)
+    phi = random_two_body(ctx, np.random.default_rng(17), alpha_tb=3.0)
+    h = assemble(phi) + sum(0.4 * (z + 1) * number_operator(ctx, [z]).matrix for z in g.vertices)
+    w = build_weight_spectrum(0.3, 0.15)
+    a = phi.terms[(1, 2)].matrix
+    j, info = inverse_liouvillian(h, a, w)
+    assert info["sectors"] == [16, 16]  # pairing terms break number, not parity
+    want = dense_inverse(h, a, w)
+    assert op_norm(j - want) <= 1e-12 * op_norm(want)
+    # an odd input connects the two parity sectors only
+    odd = (ladder(ctx, 2) + ladder(ctx, 2).adjoint()).matrix
+    j, _ = inverse_liouvillian(h, odd, w)
+    want = dense_inverse(h, odd, w)
+    assert op_norm(j - want) <= 1e-12 * op_norm(want)
+
+
+def gapped_chain(n=6):
+    """Criterion 06's family: fields with one negative, hopping switched on."""
+    g = build_lattice("path", n)
+    ctx = build_context(g)
+    fields = [-2.0, 1.1, 1.7, 2.3, 2.9, 3.5][:n]
+    h0 = sum(fields[z] * number_operator(ctx, [z]).matrix for z in g.vertices)
+    h1 = assemble(model("long_range_hopping", ctx, J=0.15, alpha_tb=3.0).interaction.sample(0.0))
+    return ctx, lambda s: h0 + s * h1
+
+
+def test_inverse_liouvillian_number_sectors_with_a_ladder_input():
+    ctx, h_fn = gapped_chain()
+    h = h_fn(0.6)
+    w = build_weight_spectrum(0.5, 0.25)
+    a = (ladder(ctx, 1) + ladder(ctx, 1).adjoint()).matrix  # changes the particle number
+    j, info = inverse_liouvillian(h, a, w)
+    assert info["sectors"] == [1, 6, 15, 20, 15, 6, 1]
+    want = dense_inverse(h, a, w)
+    assert op_norm(j - want) <= 1e-12 * op_norm(want)
+    # the time-domain route filters with its refined quadrature, 1.5 x (10, 8)
+    j, info = inverse_liouvillian(h, a, w, method="time_domain", horizon=10.0)
+    evals, vecs = np.linalg.eigh(h)
+    f = w.filter_numeric(evals[:, None] - evals[None, :], 15.0, 12.0)
+    want = vecs @ (f * (vecs.conj().T @ a @ vecs)) @ vecs.conj().T
+    assert op_norm(j - want) <= 1e-12 * op_norm(want)
+    # below dimension 32 the dense route is cheaper and is taken
+    small_ctx, small_h_fn, _ = chain_family()
+    small_a = ladder(small_ctx, 1).matrix
+    assert inverse_liouvillian(small_h_fn(0.6), small_a, w)[1]["sectors"] == [16]
+
+
+@pytest.mark.parametrize("sector_dim", [1, 2, 5])
+def test_kato_generator_and_sector_gap_sector_route_match_dense(sector_dim):
+    ctx, h_fn = gapped_chain()
+    for s in (0.0, 0.35, 1.0):
+        h = h_fn(s)
+        rep = sector_gap(h, sector_dim)
+        evals, vecs = np.linalg.eigh(h)
+        assert np.abs(rep.eigenvalues - evals).max() <= 1e-12 * np.abs(evals).max()
+        assert abs(rep.gap - (evals[sector_dim] - evals[sector_dim - 1])) <= 1e-12
+        p = vecs[:, :sector_dim] @ vecs[:, :sector_dim].conj().T
+        assert op_norm(rep.projector - p) <= 1e-12
+        want = dense_kato(h_fn, s, sector_dim)
+        assert op_norm(kato_generator(h_fn, s, sector_dim) - want) <= 1e-12 * op_norm(want)
+
+
+def test_generic_dense_h_takes_the_one_sector_route_bit_for_bit():
+    rng = np.random.default_rng(21)
+    dim = 16
+    h = random_hermitian(rng, dim, scale=2.0)
+    a = random_hermitian(rng, dim)
+    w = build_weight_spectrum(0.3, 0.15)
+    j, info = inverse_liouvillian(h, a, w)
+    assert info["sectors"] == [dim]
+    assert np.array_equal(j, dense_inverse(h, a, w))
+    h_dot = random_hermitian(rng, dim)
+
+    def h_fn(s):
+        return h + s * h_dot
+
+    assert np.array_equal(kato_generator(h_fn, 0.2, 3), dense_kato(h_fn, 0.2, 3))
+    rep = sector_gap(h, 3)
+    evals, vecs = np.linalg.eigh(h)
+    assert np.array_equal(rep.eigenvalues, evals)
+    assert np.array_equal(rep.projector, vecs[:, :3] @ vecs[:, :3].conj().T)

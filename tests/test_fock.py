@@ -318,3 +318,47 @@ def test_dense_construction_round_trips_and_rejects_wrong_support(ctx4):
         lying.norm()
     with pytest.raises(ValueError, match="shape"):
         LocalOperator.from_block(ctx4, np.eye(4), (0,))
+
+
+def jordan_wigner_embedding(n_modes, modes, block):
+    """sum_rc B[r, c] A*_r P A_c from tensor-product ladders: A*_r creates
+    the modes of r in ascending order and P projects the modes onto their
+    vacuum, so each term is the matrix unit |r><c| on the support."""
+    a = [kron_ladder(n_modes, m) for m in modes]
+    eye = np.eye(2**n_modes, dtype=complex)
+    vacuum = eye
+    for x in a:
+        vacuum = vacuum @ (eye - x.conj().T @ x)
+
+    def create(r):
+        out = eye
+        for p, x in enumerate(a):
+            if (r >> p) & 1:
+                out = out @ x.conj().T
+        return out
+
+    creators = [create(r) for r in range(len(block))]
+    annihilators = [c.conj().T for c in creators]
+    return sum(
+        creators[r] @ vacuum @ sum(block[r, c] * annihilators[c] for c in range(len(block)))
+        for r in range(len(block))
+    )
+
+
+@pytest.mark.parametrize(
+    "sites",
+    [(2,), (0, 5), (1, 2, 4), (0, 1, 2, 3), (0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)],
+    ids=lambda s: f"{len(s)}-sites",
+)
+def test_scatter_matches_jordan_wigner_at_every_support_size(sites):
+    ctx = build_context(build_lattice("path", 6))
+    rng = np.random.default_rng(len(sites))
+    block = random_matrix(rng, 2 ** len(sites))
+    block[0, 1] = 0.0  # zeros in the block stay untouched entries
+    want = jordan_wigner_embedding(ctx.n_modes, ctx.modes_of_sites(sites), block)
+    op = LocalOperator.from_block(ctx, block, sites)
+    assert np.abs(op.dense() - want).max() <= TOL
+    base = random_matrix(rng, ctx.dim)
+    out = base.copy()
+    op.add_to(out)  # adds, never overwrites
+    assert np.abs(out - base - want).max() <= TOL
