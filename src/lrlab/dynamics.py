@@ -8,6 +8,16 @@ factor, and the whole interval is re-integrated with doubled resolution
 until two successive resolutions agree.  For a time-independent generator the two resolutions
 agree exactly and the first check already converges.
 
+The stepper works block by block on the charge sectors of the generator's
+first sample (``fock._charge_sectors``: particle number, else parity, else
+the whole space, from dim 32 on).  Every later sample is checked to keep
+those sectors' exact zeros; the Magnus exponent, its exponential, the
+polar snap, the defect and the unitarity residual are then per block, and
+so are ``Propagator.grid``'s accumulation and snap.  A sample that
+connects two sectors sends the rest of that propagation to the whole
+space, the one-sector case of the same code, which is also the dense
+route.  ``propagate``'s info lists the sector sizes it ended on.
+
 Heisenberg evolution is tau_{t,s}(A) = U(t,s)* A U(t,s); a sweep records
 the operator norm of [tau_{t,s}(A), B] over a time grid together with the
 support metadata that locality bounds consume.  A sweep takes one of two
@@ -21,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import LocalOperator
+from .fock import LocalOperator, _charge_sectors, _partition
 from .interactions import Model
 from .lattice import set_distance
 from .linalg import expm_hermitian, is_hermitian, op_norm, polar_unitary
@@ -54,46 +64,77 @@ def _check_hermitian(h: np.ndarray, tol: float):
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 
 
-def _integrate(gen, s: float, t: float, n_steps: int, settings: StepperSettings):
-    dim = gen(s).shape[0]
-    u = np.eye(dim, dtype=np.complex128)
+def _integrate(
+    gen, s: float, t: float, n_steps: int, settings: StepperSettings, sectors=None
+):
+    """U(t, s) from ``n_steps`` Magnus steps and one polar snap.
+
+    Works block by block on ``sectors``, by default those of the first
+    sample.  A sample that connects two of them moves the rest of the
+    integration to the whole space: the steps before it are block-diagonal
+    exactly, so their product carries over.
+    """
     dt = (t - s) / n_steps
+    u = None
     for k in range(n_steps):
         t0 = s + k * dt
         h1 = np.asarray(gen(t0 + (0.5 - _GAUSS_OFFSET) * dt), dtype=np.complex128)
         h2 = np.asarray(gen(t0 + (0.5 + _GAUSS_OFFSET) * dt), dtype=np.complex128)
         _check_hermitian(h1, settings.herm_tol)
         _check_hermitian(h2, settings.herm_tol)
+        if sectors is None:
+            sectors = _charge_sectors(h1)
+        if u is None:
+            u = [np.eye(size, dtype=np.complex128) for size in sectors.sizes]
+        if not (sectors.keeps(h1) and sectors.keeps(h2)):
+            u = [sectors.block_diag(u)]
+            sectors = _partition(h1.shape[0], "none")
         # Magnus exponent truncated at fourth order; the commutator term is
         # i times a Hermitian matrix, so exp(-i K) is exactly unitary
-        k_eff = 0.5 * dt * (h1 + h2) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (
-            h2 @ h1 - h1 @ h2
-        )
-        u = expm_hermitian(k_eff, -1j) @ u
-    return polar_unitary(u)
+        u = [
+            expm_hermitian(
+                0.5 * dt * (a + b) - 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (b @ a - a @ b), -1j
+            )
+            @ v
+            for a, b, v in zip(sectors.blocks(h1), sectors.blocks(h2), u)
+        ]
+    return sectors.block_diag([polar_unitary(v) for v in u])
+
+
+def _kept(sectors, u: np.ndarray):
+    """``sectors`` if ``u`` keeps them, else the whole space."""
+    return sectors if sectors.keeps(u) else _partition(u.shape[0], "none")
 
 
 def propagate(gen, s: float, t: float, settings: StepperSettings | None = None):
     """Propagator U(t, s) for the time-dependent generator ``gen``.
 
     Returns (U, info) where info records the accepted resolution, the
-    defect between the last two resolutions, and the unitarity residual.
+    defect between the last two resolutions, the unitarity residual, and
+    the sizes of the charge sectors the propagation ran on ("sectors"; one
+    entry means the dense route).
     """
     settings = settings or StepperSettings()
     h0 = np.asarray(gen(0.5 * (s + t)), dtype=np.complex128)
     _check_hermitian(h0, settings.herm_tol)
+    sectors = _charge_sectors(h0)
     dim = h0.shape[0]
     if t == s:
         return np.eye(dim, dtype=np.complex128), {
-            "steps": 0, "defect": 0.0, "unitarity": 0.0,
+            "steps": 0, "defect": 0.0, "unitarity": 0.0, "sectors": list(sectors.sizes),
         }
-    scale = max(1.0, op_norm(h0))
+    scale = max(1.0, sectors.norm(h0))
     n = max(1, int(np.ceil(abs(t - s) * scale / settings.target_step_action)))
-    u_prev = _integrate(gen, s, t, n, settings)
+    u_prev = _integrate(gen, s, t, n, settings, sectors)
+    sectors = _kept(sectors, u_prev)
     for _ in range(settings.max_doublings):
         n *= 2
-        u_next = _integrate(gen, s, t, n, settings)
-        defect = float(np.linalg.norm(u_next - u_prev, 2))
+        u_next = _integrate(gen, s, t, n, settings, sectors)
+        sectors = _kept(sectors, u_next)
+        defect = max(
+            float(np.linalg.norm(a - b, 2))
+            for a, b in zip(sectors.blocks(u_next), sectors.blocks(u_prev))
+        )
         u_prev = u_next
         if defect <= settings.tol:
             break
@@ -101,14 +142,22 @@ def propagate(gen, s: float, t: float, settings: StepperSettings | None = None):
         raise RuntimeError(
             f"propagator failed to reach tol={settings.tol} (last defect {defect})"
         )
-    residual = float(np.abs(u_prev.conj().T @ u_prev - np.eye(dim)).max())
+    residual = max(
+        float(np.abs(b.conj().T @ b - np.eye(b.shape[0])).max()) for b in sectors.blocks(u_prev)
+    )
     if residual > settings.unitarity_tol:
         raise RuntimeError(f"unitarity residual {residual} above tolerance")
-    return u_prev, {"steps": n, "defect": defect, "unitarity": residual}
+    return u_prev, {
+        "steps": n, "defect": defect, "unitarity": residual, "sectors": list(sectors.sizes),
+    }
 
 
 class Propagator:
-    """Cached two-parameter propagator for one generator."""
+    """Cached two-parameter propagator for one generator.
+
+    ``sectors`` holds the sizes of the coarsest charge sectors any
+    propagation or grid accumulation ran on (one entry: the dense route).
+    """
 
     def __init__(self, gen, settings: StepperSettings | None = None):
         self.gen = gen
@@ -116,6 +165,11 @@ class Propagator:
         self._cache: dict = {}
         self.worst_defect = 0.0
         self.worst_unitarity = 0.0
+        self.sectors = None
+
+    def _record_sectors(self, sizes: list):
+        if self.sectors is None or len(sizes) < len(self.sectors):
+            self.sectors = sizes
 
     def u(self, t: float, s: float) -> np.ndarray:
         if (t, s) in self._cache:
@@ -125,23 +179,33 @@ class Propagator:
         mat, info = propagate(self.gen, s, t, self.settings)
         self.worst_defect = max(self.worst_defect, info["defect"])
         self.worst_unitarity = max(self.worst_unitarity, info["unitarity"])
+        self._record_sectors(info["sectors"])
         self._cache[(t, s)] = mat
         return mat
 
     def grid(self, times) -> list[np.ndarray]:
-        """U(t_k, t_0) for every grid time, built segment by segment."""
+        """U(t_k, t_0) for every grid time, built segment by segment.
+
+        The product and its polar snap run block by block on the charge
+        sectors of the generator's sample at t_0, and on the whole space
+        from the first segment that does not keep them.
+        """
         times = list(times)
-        out = []
-        acc = None
-        for k, t in enumerate(times):
-            if k == 0:
-                dim = np.asarray(self.gen(t)).shape[0]
-                acc = np.eye(dim, dtype=np.complex128)
-            else:
-                acc = self.u(t, times[k - 1]) @ acc
-                acc = polar_unitary(acc)
-                self._cache[(t, times[0])] = acc
-            out.append(acc)
+        if not times:
+            return []
+        sectors = _charge_sectors(np.asarray(self.gen(times[0])))
+        acc = [np.eye(size, dtype=np.complex128) for size in sectors.sizes]
+        out = [sectors.block_diag(acc)]
+        for t_prev, t in zip(times, times[1:]):
+            u = self.u(t, t_prev)
+            if not sectors.keeps(u):
+                acc = [sectors.block_diag(acc)]
+                sectors = _partition(u.shape[0], "none")
+            acc = [polar_unitary(b @ a) for b, a in zip(sectors.blocks(u), acc)]
+            full = sectors.block_diag(acc)
+            self._cache[(t, times[0])] = full
+            out.append(full)
+        self._record_sectors(list(sectors.sizes))
         return out
 
 
@@ -211,7 +275,7 @@ def _constant_sample(gen, times: np.ndarray, settings: StepperSettings):
     """
     # a copy, since a generator may hand out one buffer it overwrites
     h = np.array(gen(times[0]), dtype=np.complex128)
-    scale = max(1.0, op_norm(h))
+    scale = max(1.0, _charge_sectors(h).norm(h))  # as ``propagate`` computes it
     for s, t in zip(times[:-1], times[1:]):
         n = max(1, int(np.ceil(abs(t - s) * scale / settings.target_step_action)))
         nodes = [s, 0.5 * (s + t)]
@@ -276,10 +340,11 @@ def lr_sweep(
         info = {"route": "eigh", "defect": 0.0, "unitarity": residual}
     else:
         prop = Propagator(gen, settings)
+        am, bm = a.matrix, b.matrix
         vals = np.empty_like(times)
         for k, u in enumerate(prop.grid(times)):
-            evolved = heisenberg(u, a)
-            vals[k] = op_norm(evolved @ b.matrix - b.matrix @ evolved)
+            evolved = heisenberg(u, am)
+            vals[k] = op_norm(evolved @ bm - bm @ evolved)
         info = {"route": "magnus", "defect": prop.worst_defect, "unitarity": prop.worst_unitarity}
     return CommutatorSeries(
         times=times,

@@ -31,9 +31,13 @@ generator takes one ``eigh`` per sample.
 Sector route: the inverse (so the hastings generator), the extraction,
 the kato generator and ``sector_gap`` diagonalise H (from dim 32 on) once
 per sector of the first charge it conserves exactly (particle number,
-else parity) and filter block pair by block pair; a generic dense H is
-the one-sector case, bit for bit a single ``eigh``.  ``gap_analysis``
-stays dense.
+else parity; ``fock._charge_sectors``) and filter block pair by block
+pair, skipping pairs where the input or the kernel is identically zero; a
+generic dense H is the one-sector case, bit for bit a single ``eigh``.
+The generators then conserve the same charge exactly, so
+``automorphic_deviation``'s transport (``dynamics.Propagator``) steps
+block by block and its deviation norms are per block too.
+``gap_analysis`` stays dense.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
 from .dynamics import Propagator, StepperSettings
-from .fock import FockContext, LocalOperator, expectation_block
+from .fock import FockContext, LocalOperator, _charge_sectors, expectation_block
 from .interactions import Interaction
 from .lattice import fatten
 from .linalg import op_norm
@@ -191,7 +195,7 @@ def sector_gap(h, sector_dim: int = 1) -> GapReport:
     spec = _Spectrum(h)
     k, evals, inside = spec.lowest(sector_dim)
     held = [np.count_nonzero(inside[r]) for r in spec.span]
-    proj = spec.assemble(
+    proj = spec.sectors.assemble(
         ((i, i), v[:, :c] @ v[:, :c].conj().T) for i, (v, c) in enumerate(zip(spec.vecs, held)) if c
     )
     return GapReport(
@@ -255,58 +259,33 @@ def gap_analysis(h, f_minus: float, f_plus: float, edge_tol: float = 1e-9) -> Ga
 
 def _as_matrix(x) -> np.ndarray:
     if isinstance(x, LocalOperator):
-        return x.dense()
+        return x.matrix
     return np.asarray(x, dtype=np.complex128)
-
-
-# below this dimension one dense eigh and three products cost less than
-# finding and looping over sectors: on 2 vCPUs kato, hastings and
-# sector_gap run about twice as fast dense at dim 8 and 16, within a third
-# of each other at dim 32, and 2.5 to 4 times faster by sector at dim 128
-_MIN_SECTOR_DIM = 32
-
-
-def _reach(onehot: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Which pairs of sectors (columns of the one-hot ``onehot``) an
-    exactly nonzero entry of ``m`` connects."""
-    return onehot.T @ (m != 0).astype(np.float32) @ onehot > 0
 
 
 class _Spectrum:
     """Eigendecomposition of a Hermitian H, one ``eigh`` per charge sector.
 
-    The sectors are those of particle number (the popcount of the basis
-    index), else of fermion parity, else the whole space: the first charge
-    whose different values H never connects, every such entry exactly 0.
-    Below ``_MIN_SECTOR_DIM`` the whole space is one sector.
-    Sector k holds the basis states ``index[k]`` (a full slice for the
-    whole space) and the eigenvectors ``vecs[k]``; ``evals`` lists the
-    eigenvalues sector by sector, sector k at ``span[k]``.  The dense route
-    is the one-sector case.
+    The sectors are those of the first charge H conserves exactly
+    (``fock._charge_sectors``: particle number, else parity, else the whole
+    space, which is also the rule below dim 32).  Sector k holds the
+    eigenvectors ``vecs[k]``; ``evals`` lists the eigenvalues sector by
+    sector, sector k at ``span[k]``.  The dense route is the one-sector
+    case.
     """
 
     def __init__(self, h):
         h = _as_matrix(h)
         self.dim = h.shape[0]
-        self.index = [slice(None)]
-        self._onehot = np.ones((self.dim, 1), dtype=np.float32)
-        number = np.bitwise_count(np.arange(self.dim))
-        for charge in (number, number & 1) if self.dim >= _MIN_SECTOR_DIM else ():
-            values, sector_of = np.unique(charge, return_inverse=True)
-            onehot = np.eye(values.size, dtype=np.float32)[sector_of]
-            if values.size > 1 and not _reach(onehot, h)[~np.eye(values.size, dtype=bool)].any():
-                self.index = [np.flatnonzero(sector_of == k) for k in range(values.size)]
-                self._onehot = onehot
-                break
-        self._rows = [i if isinstance(i, slice) else i[:, None] for i in self.index]
-        evals, self.vecs = zip(*(np.linalg.eigh(h[r, i]) for r, i in zip(self._rows, self.index)))
+        self.sectors = _charge_sectors(h)
+        evals, self.vecs = zip(*(np.linalg.eigh(b) for b in self.sectors.blocks(h)))
         self.evals = np.concatenate(evals)
         edges = np.cumsum([0] + self.sizes)
         self.span = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
     @property
     def sizes(self) -> list:
-        return [v.shape[0] for v in self.vecs]
+        return list(self.sectors.sizes)
 
     def bohr(self) -> np.ndarray:
         """Bohr frequencies E_i - E_j, levels in sector order."""
@@ -323,24 +302,19 @@ class _Spectrum:
         inside[order[:count]] = True
         return count, self.evals[order], inside
 
-    def assemble(self, blocks) -> np.ndarray:
-        """The matrix with the given ((k, l), block) pieces between sectors."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for (k, l), block in blocks:
-            out[self._rows[k], self.index[l]] = block
-        return out
-
-    def transform(self, a: np.ndarray, kernel) -> np.ndarray:
+    def transform(self, a: np.ndarray, kernel, live=None) -> np.ndarray:
         """V_k kernel(V_k^dagger A_kl V_l, span[k], span[l]) V_l^dagger over
-        the sector pairs (k, l), skipping those where A_kl is exactly 0."""
+        the sector pairs (k, l), skipping those where A_kl is exactly 0 and,
+        given the boolean pair matrix ``live``, those where it is False."""
 
         def block(k, l):
             vk, vl = self.vecs[k], self.vecs[l]
-            x = vk.conj().T @ a[self._rows[k], self.index[l]] @ vl
+            x = vk.conj().T @ self.sectors.block(a, k, l) @ vl
             return vk @ kernel(x, self.span[k], self.span[l]) @ vl.conj().T
 
-        pairs = zip(*np.nonzero(_reach(self._onehot, a)))
-        return self.assemble(((k, l), block(k, l)) for k, l in pairs)
+        reach = self.sectors.reach(a)
+        pairs = zip(*np.nonzero(reach if live is None else reach & live))
+        return self.sectors.assemble(((k, l), block(k, l)) for k, l in pairs)
 
     def apply_filter(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
         """V (f o V^dagger A V) V^dagger for a filter f on ``bohr()``."""
@@ -370,9 +344,11 @@ def inverse_liouvillian(
     om = spec.bohr()
     info: dict = {"method": method, "sectors": spec.sizes}
     if method == "eigenbasis":
-        f = weight.filter_at(om)
         info["budget"] = 0.0
-    elif method == "time_domain":
+        # the exact filter, evaluated only on the sector pairs A reaches
+        kernel = lambda x, rows, cols: weight.filter_at(om[rows, cols]) * x  # noqa: E731
+        return spec.transform(am, kernel), info
+    if method == "time_domain":
         t_max = 100.0 / weight.time_scale if horizon is None else float(horizon)
         f = weight.filter_numeric(om, t_max, density)
         f_ref = weight.filter_numeric(om, 1.5 * t_max, 1.5 * density)
@@ -454,7 +430,7 @@ def extract_interaction(
     f = weight.filter_at(spec.bohr())
     acc: dict = {}
     for term in phi.terms.values():
-        jm = spec.apply_filter(term.dense(), f)
+        jm = spec.apply_filter(term.matrix, f)
         for piece in layer_split(ctx, jm, term.support):
             key = piece.support
             acc[key] = acc.get(key, 0.0) + piece.block
@@ -475,8 +451,10 @@ def kato_generator(h_fn, s: float, sector_dim: int = 1, step: float = 1e-4) -> n
     once (numpy's ``eigh``, like every decomposition in lrlab; see
     ``linalg``) and P' is formed in its eigenbasis: with P the lowest
     ``sector_dim`` levels, P'_ij = H'_ij / (E_i - E_j) for i in P and j
-    not, H'_ij / (E_j - E_i) for j in P and i not, and 0 otherwise.  A
-    sector whose gap E_k - E_{k-1} is not positive raises ValueError.
+    not, H'_ij / (E_j - E_i) for j in P and i not, and 0 otherwise, so a
+    pair of charge sectors is skipped unless one holds a level of P and the
+    other a level outside it.  A sector whose gap E_k - E_{k-1} is not
+    positive raises ValueError.
     """
 
     def at(x):
@@ -490,6 +468,9 @@ def kato_generator(h_fn, s: float, sector_dim: int = 1, step: float = 1e-4) -> n
     if not evals[k] - evals[k - 1] > 0:
         raise ValueError("sector is not separated from the rest of the spectrum")
     om = spec.bohr()
+    held = np.array([np.count_nonzero(inside[r]) for r in spec.span])
+    rest = np.array(spec.sizes) - held
+    live = np.outer(held > 0, rest > 0) | np.outer(rest > 0, held > 0)
 
     def kernel(h_eig, rows, cols):
         # i[P', P]_ij = i P'_ij (p_j - p_i) = i H'_ij / (E_j - E_i) across
@@ -499,7 +480,7 @@ def kato_generator(h_fn, s: float, sector_dim: int = 1, step: float = 1e-4) -> n
         d[cross] = 1j * h_eig[cross] / -om[rows, cols][cross]
         return d
 
-    return spec.transform(h_dot, kernel)
+    return spec.transform(h_dot, kernel, live)
 
 
 def hastings_generator(h, h_prime, weight: WeightFunction) -> np.ndarray:
@@ -519,16 +500,19 @@ def automorphic_deviation(
 
     The instantaneous projectors come from exact diagonalization; U solves
     the flow equation for the supplied generator.  Small deviation is the
-    automorphic-equivalence statement made quantitative.
+    automorphic-equivalence statement made quantitative.  Each norm is
+    taken block by block on the charge sectors the difference conserves,
+    and "sectors" reports the sizes of the sectors the transport ran on
+    (``Propagator.sectors``; one entry means the dense route).
     """
     s_grid = np.linspace(0.0, 1.0, 11) if s_grid is None else np.asarray(s_grid, float)
     prop = Propagator(d_fn, settings)
     us = prop.grid(s_grid)
-    p0 = sector_gap(h_fn(float(s_grid[0])), sector_dim).projector
+    projectors = [sector_gap(h_fn(float(s)), sector_dim).projector for s in s_grid]
     per = []
-    for s, u in zip(s_grid, us):
-        p_s = sector_gap(h_fn(float(s)), sector_dim).projector
-        per.append(op_norm(p_s - u @ p0 @ u.conj().T))
+    for p_s, u in zip(projectors, us):
+        diff = p_s - u @ projectors[0] @ u.conj().T
+        per.append(_charge_sectors(diff).norm(diff))
     per = np.array(per)
     return {
         "deviation": float(per.max()),
@@ -536,4 +520,5 @@ def automorphic_deviation(
         "times": s_grid,
         "worst_defect": prop.worst_defect,
         "worst_unitarity": prop.worst_unitarity,
+        "sectors": prop.sectors,
     }

@@ -167,7 +167,7 @@ def lppl_measure(
         if norm <= 0.0:
             findings.append(f"probe on {a.support} has zero norm; skipped")
             continue
-        am = a.dense()
+        am = a.matrix
         diff = abs(_trace_product(p1, am) - _trace_product(p0, am)) / norm
         if diff > cap + 1e-9:
             raise AssertionError("difference exceeds the rank cap; projectors are broken")

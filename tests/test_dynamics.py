@@ -113,6 +113,33 @@ def test_stepper_is_higher_order():
     assert errs[1] / errs[2] > 8.0
 
 
+def counting(gen):
+    """``gen`` with a call counter in ``.calls``."""
+
+    def wrapped(t):
+        wrapped.calls += 1
+        return gen(t)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def test_generator_calls_per_segment():
+    # one sample for the scale, then 2n Gauss nodes at n steps and 4n at 2n;
+    # a constant generator converges at the first doubling
+    rng = np.random.default_rng(6)
+    h = random_hermitian(rng, 6)
+    gen = counting(lambda t: h)
+    _, info = propagate(gen, 0.0, 0.9)
+    n = info["steps"] // 2
+    assert n >= 1 and gen.calls == 1 + 2 * n + 4 * n
+    # the grid reads one sample at its first time on top of its segments
+    gen = counting(lambda t: h)
+    Propagator(gen).grid([0.0, 0.3, 0.9])
+    steps = [propagate(lambda t: h, s, t)[1]["steps"] // 2 for s, t in ((0.0, 0.3), (0.3, 0.9))]
+    assert gen.calls == 1 + sum(1 + 6 * n for n in steps)
+
+
 def test_settings_control_tolerance():
     rng = np.random.default_rng(4)
     h = random_hermitian(rng, 4)

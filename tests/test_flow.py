@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from lrlab.dynamics import Propagator, propagate
 from lrlab.flow import (
     WeightFunction,
     automorphic_deviation,
@@ -223,7 +224,7 @@ def test_layer_split_blocks_match_dense_expectations(shape, spins, base):
         assert piece.block.shape == (2 ** (len(region) * spins),) * 2
         cur = conditional_expectation(ctx, region, m)
         want = cur if prev is None else cur - prev
-        assert np.abs(piece.dense() - want).max() <= 1e-12
+        assert np.abs(piece.matrix - want).max() <= 1e-12
         prev = cur
     assert np.abs(prev - m).max() <= 1e-12
 
@@ -337,6 +338,7 @@ def test_automorphic_transport(kind):
         w = build_weight_spectrum(0.5, 0.25)
         d_fn = lambda s: hastings_generator(h_fn(s), h_hop, w)  # noqa: E731
     report = automorphic_deviation(h_fn, d_fn, s_grid=np.linspace(0.0, 1.0, 6))
+    assert report["sectors"] == [16]  # below dim 32: the dense route
     assert report["deviation"] <= 1e-6
     assert report["per_time"][0] <= 1e-12
     assert report["worst_unitarity"] <= 1e-9
@@ -478,11 +480,11 @@ def gapped_chain(n=6):
     fields = [-2.0, 1.1, 1.7, 2.3, 2.9, 3.5][:n]
     h0 = sum(fields[z] * number_operator(ctx, [z]).matrix for z in g.vertices)
     h1 = assemble(model("long_range_hopping", ctx, J=0.15, alpha_tb=3.0).interaction.sample(0.0))
-    return ctx, lambda s: h0 + s * h1
+    return ctx, lambda s: h0 + s * h1, h1
 
 
 def test_inverse_liouvillian_number_sectors_with_a_ladder_input():
-    ctx, h_fn = gapped_chain()
+    ctx, h_fn, _ = gapped_chain()
     h = h_fn(0.6)
     w = build_weight_spectrum(0.5, 0.25)
     a = (ladder(ctx, 1) + ladder(ctx, 1).adjoint()).matrix  # changes the particle number
@@ -504,7 +506,7 @@ def test_inverse_liouvillian_number_sectors_with_a_ladder_input():
 
 @pytest.mark.parametrize("sector_dim", [1, 2, 5])
 def test_kato_generator_and_sector_gap_sector_route_match_dense(sector_dim):
-    ctx, h_fn = gapped_chain()
+    ctx, h_fn, _ = gapped_chain()
     for s in (0.0, 0.35, 1.0):
         h = h_fn(s)
         rep = sector_gap(h, sector_dim)
@@ -536,3 +538,98 @@ def test_generic_dense_h_takes_the_one_sector_route_bit_for_bit():
     evals, vecs = np.linalg.eigh(h)
     assert np.array_equal(rep.eigenvalues, evals)
     assert np.array_equal(rep.projector, vecs[:, :3] @ vecs[:, :3].conj().T)
+
+
+# --------------------------------------------------------------------------
+# sector transport against a dense propagation
+
+
+def dense_magnus(gen, s, t, n):
+    """U(t, s) from n fourth-order Magnus steps on the whole space, snapped
+    to its polar factor once: the stepper's arithmetic without sectors."""
+    dt = (t - s) / n
+    c = math.sqrt(3.0) / 6.0
+    u = np.eye(gen(s).shape[0], dtype=np.complex128)
+    for k in range(n):
+        t0 = s + k * dt
+        h1, h2 = gen(t0 + (0.5 - c) * dt), gen(t0 + (0.5 + c) * dt)
+        x = 0.5 * dt * (h1 + h2) - 1j * (math.sqrt(3.0) / 12.0) * dt**2 * (h2 @ h1 - h1 @ h2)
+        w, v = np.linalg.eigh(x)
+        u = (v * np.exp(-1j * w)) @ v.conj().T @ u
+    left, _, right = np.linalg.svd(u)
+    return left @ right
+
+
+def dense_transport(h_fn, d_fn, s_grid):
+    """Grid propagators and per-time deviations of ``automorphic_deviation``
+    from whole-space matrices: each segment at the step count the stepper
+    accepts on it, the ground projectors from one ``eigh`` each."""
+
+    def ground(s):
+        _, vecs = np.linalg.eigh(h_fn(s))
+        return vecs[:, :1] @ vecs[:, :1].conj().T
+
+    p0 = ground(s_grid[0])
+    acc = np.eye(p0.shape[0], dtype=np.complex128)
+    us, per = [acc], [0.0]
+    for s, t in zip(s_grid, s_grid[1:]):
+        u = dense_magnus(d_fn, s, t, propagate(d_fn, s, t)[1]["steps"])
+        left, _, right = np.linalg.svd(u @ acc)
+        acc = left @ right
+        us.append(acc)
+        per.append(np.linalg.norm(ground(t) - acc @ p0 @ acc.conj().T, 2))
+    return us, np.array(per)
+
+
+def transport_case(case):
+    """(h_fn, d_fn, the transport's sector sizes) for one sector route."""
+    if case == "parity":
+        # pairing terms: parity is the only charge
+        ctx = build_context(build_lattice("path", 5))
+        rng = np.random.default_rng(31)
+        ha = assemble(random_two_body(ctx, rng, alpha_tb=3.0, strength=0.5))
+        hb = assemble(random_two_body(ctx, rng, alpha_tb=3.0, strength=0.5))
+
+        def h_fn(s):
+            return ha + s * hb
+
+        return h_fn, h_fn, [16, 16]
+    ctx, h_fn, h1 = gapped_chain()  # flow-transport's 6-site chain
+    if case == "hastings":
+        w = build_weight_spectrum(1.0, 0.5)
+        return h_fn, lambda s: hastings_generator(h_fn(s), h1, w), [1, 6, 15, 20, 15, 6, 1]
+    if case == "kato":
+        return h_fn, lambda s: kato_generator(h_fn, s), [1, 6, 15, 20, 15, 6, 1]
+    # from s = 0.5 on, a term that changes the particle number joins in
+    odd = (ladder(ctx, 1) + ladder(ctx, 1).adjoint()).matrix
+    return h_fn, lambda s: kato_generator(h_fn, s) + max(0.0, s - 0.5) ** 4 * odd, [64]
+
+
+@pytest.mark.parametrize("case", ["kato", "hastings", "parity", "connecting"])
+def test_sector_transport_matches_dense_propagation(case):
+    h_fn, d_fn, sectors = transport_case(case)
+    s_grid = np.linspace(0.0, 1.0, 9)
+    report = automorphic_deviation(h_fn, d_fn, s_grid=s_grid)
+    assert report["sectors"] == sectors
+    want_us, want_per = dense_transport(h_fn, d_fn, s_grid)
+    assert np.abs(report["per_time"] - want_per).max() <= 1e-12
+    for u, want in zip(Propagator(d_fn).grid(s_grid), want_us):
+        assert op_norm(u - want) <= 1e-12
+    # one segment on its own: sectors from the sample at its midpoint
+    u, info = propagate(d_fn, 0.375, 0.625)
+    assert info["sectors"] == sectors
+    assert op_norm(u - dense_magnus(d_fn, 0.375, 0.625, info["steps"])) <= 1e-12
+
+
+def test_flow_transport_makes_57_generator_calls():
+    # per segment one scale sample and 2 + 4 Gauss nodes, plus the grid's
+    # first sample: 1 + 8 * 7
+    h_fn, kato, _ = transport_case("kato")
+
+    def d_fn(s):
+        d_fn.calls += 1
+        return kato(s)
+
+    d_fn.calls = 0
+    automorphic_deviation(h_fn, d_fn, s_grid=np.linspace(0.0, 1.0, 9))
+    assert d_fn.calls == 57

@@ -320,6 +320,15 @@ def test_dense_construction_round_trips_and_rejects_wrong_support(ctx4):
         LocalOperator.from_block(ctx4, np.eye(4), (0,))
 
 
+def test_matrix_of_a_block_operator_is_built_per_read_and_not_kept(ctx4):
+    hop = ladder(ctx4, 1).adjoint() @ ladder(ctx4, 3)
+    first = hop.matrix
+    assert hop.matrix is not first
+    assert np.array_equal(hop.matrix, first)
+    full = LocalOperator(ctx4, first, hop.support)
+    assert full.matrix is full.matrix  # built from a matrix: that matrix
+
+
 def jordan_wigner_embedding(n_modes, modes, block):
     """sum_rc B[r, c] A*_r P A_c from tensor-product ladders: A*_r creates
     the modes of r in ascending order and P projects the modes onto their
@@ -357,7 +366,7 @@ def test_scatter_matches_jordan_wigner_at_every_support_size(sites):
     block[0, 1] = 0.0  # zeros in the block stay untouched entries
     want = jordan_wigner_embedding(ctx.n_modes, ctx.modes_of_sites(sites), block)
     op = LocalOperator.from_block(ctx, block, sites)
-    assert np.abs(op.dense() - want).max() <= TOL
+    assert np.abs(op.matrix - want).max() <= TOL
     base = random_matrix(rng, ctx.dim)
     out = base.copy()
     op.add_to(out)  # adds, never overwrites
