@@ -179,7 +179,7 @@ class BoundParams:
         cls, phi, alpha: float, support_x=(0,), support_y=(0,)
     ) -> "BoundParams":
         if isinstance(phi, TimeDependentInteraction):
-            ctx, norm = phi.sample(phi.interval[0]).ctx, time_sup_norm
+            ctx, norm = phi.phi0.ctx, time_sup_norm
         elif isinstance(phi, Interaction):
             ctx, norm = phi.ctx, interaction_norm
         else:

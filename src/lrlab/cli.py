@@ -45,7 +45,14 @@ from .flow import (
     sector_gap,
 )
 from .fock import DEFAULT_DIM_CAP, build_context, dim_cap, ladder, number_operator
-from .interactions import Interaction, assemble, model, random_two_body
+from .interactions import (
+    Interaction,
+    Model,
+    TimeDependentInteraction,
+    assemble,
+    model,
+    random_two_body,
+)
 from .lattice import build_lattice, set_distance
 from .lppl import lppl_measure, perturbed_atomic_chain
 from .spin import (
@@ -491,11 +498,11 @@ def _fermi_observable(ctx, spec: dict):
     raise ConfigError([Finding("observables", f"unknown observable kind {kind!r}")])
 
 
-def _build_interaction(ctx, mspec: dict, rng):
+def _build_interaction(ctx, mspec: dict, rng) -> Model:
     name = mspec["name"]
     if name == "zero":
-        return Interaction(ctx, {}), None
-    if name == "random_two_body":
+        phi = Interaction(ctx)
+    elif name == "random_two_body":
         phi = random_two_body(
             ctx,
             rng,
@@ -503,10 +510,9 @@ def _build_interaction(ctx, mspec: dict, rng):
             strength=float(mspec.get("strength", 1.0)),
             pair_fraction=float(mspec.get("pair_fraction", 1.0)),
         )
-        return phi, None
-    params = {k: v for k, v in mspec.items() if k != "name"}
-    m = model(name, ctx, **params)
-    return m.interaction.sample(0.0), m
+    else:
+        return model(name, ctx, **{k: v for k, v in mspec.items() if k != "name"})
+    return Model(name, ctx, TimeDependentInteraction.constant(phi))
 
 
 def _certificate_summary(rep) -> dict:
@@ -528,14 +534,12 @@ def _run_lr_verify(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     ctx = build_context(g)
-    phi, m = _build_interaction(ctx, cfg["model"], rng)
+    m = _build_interaction(ctx, cfg["model"], rng)
     a = _fermi_observable(ctx, cfg["observables"]["a"])
     b = _fermi_observable(ctx, cfg["observables"]["b"])
-    times = _grid(cfg["times"])
-    gen_or_model = m if m is not None else _constant_generator(phi)
-    series = lr_sweep(gen_or_model, a, b, times)
+    series = lr_sweep(m, a, b, _grid(cfg["times"]))
     p = BoundParams.from_interaction(
-        phi, float(cfg["alpha"]), support_x=a.support, support_y=b.support
+        m.interaction, float(cfg["alpha"]), support_x=a.support, support_y=b.support
     )
     curves = [curve(p, fam, g, **opt) for fam, opt in map(_curve_spec, cfg["curves"])]
     rep = certify(series, curves, slack=float(cfg.get("slack", 1e-9)))
@@ -555,17 +559,12 @@ def _run_lr_verify(cfg, rng):
     return rows, summary, constants
 
 
-def _constant_generator(phi):
-    h = assemble(phi)
-    return lambda t: h
-
-
 def _run_bound_curves(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     ctx = build_context(g)
-    phi, _ = _build_interaction(ctx, cfg["model"], rng)
-    p = BoundParams.from_interaction(phi, float(cfg["alpha"]))
+    m = _build_interaction(ctx, cfg["model"], rng)
+    p = BoundParams.from_interaction(m.interaction, float(cfg["alpha"]))
     curves = [curve(p, fam, g, **opt) for fam, opt in map(_curve_spec, cfg["curves"])]
     rs = _grid(cfg["grid"]["r"])
     dts = _grid(cfg["grid"]["dt"])

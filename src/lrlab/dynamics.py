@@ -304,10 +304,10 @@ def lr_sweep(
     are read off the operators; evolving an odd-odd pair is allowed but
     flagged, since no locality guarantee covers it.
 
-    A generator that returns the same matrix at every node the stepper
-    would sample (``_constant_sample``) takes the "eigh" route
-    (``commutator_norms``); everything else takes the "magnus" route.  A
-    Model is probed through its assembled H(t) like a bare callable.  The
+    A Model whose path is constant (its phi1 holds no nonzero block), and
+    a bare generator that returns the same matrix at every node the
+    stepper would sample (``_constant_sample``), take the "eigh" route
+    (``commutator_norms``); everything else takes the "magnus" route.  The
     route is recorded in ``info`` beside the defect and unitarity residual.
     """
     settings = settings or StepperSettings()
@@ -319,10 +319,11 @@ def lr_sweep(
             return m.hamiltonian(t, max_range)
 
         graph = m.ctx.graph
+        h = gen(times[0]) if m.interaction.is_constant and times.size else None
     else:
         gen = model_or_gen
         graph = a.ctx.graph
-    h = _constant_sample(gen, times, settings) if times.size else None
+        h = _constant_sample(gen, times, settings) if times.size else None
 
     flags = []
     if a.parity != "even" and b.parity != "even":

@@ -17,9 +17,9 @@ block on the Fock space of F alone, odd elements included: the modes of F
 come first in the product, so no sign string crosses the other modes.
 Local operators are stored as that block and the site set it lives on;
 the dense matrix is built each time it is asked for, by scattering the
-block through the signed permutation of its support, which the context
-caches per site set.  No operator built from a block keeps its dense
-matrix.
+block through the signed permutation of its support, which is cached
+per mode layout and shared by every context.  No operator built from a
+block keeps its dense matrix.
 
 Particle number is the popcount of the basis index and parity the lowest
 bit of that count.  ``_charge_sectors`` finds the first of the two that a
@@ -88,14 +88,15 @@ def _parity_diagonal(n_modes: int) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(k).astype(np.int64) & 1)
 
 
+@functools.cache
 def _mode_permutation(n_modes: int, front) -> tuple[np.ndarray, np.ndarray]:
     """Basis relabeling that moves the modes ``front`` to the low bit positions.
 
     Returns (index, sign): the reordered-product basis vector m equals
     sign[m] times the standard basis vector index[m].  The sign counts the
     transpositions needed to sort the occupied creation operators back into
-    ascending mode order.  Both arrays are read-only, since contexts
-    cache and share them.
+    ascending mode order.  Both arrays are read-only, since they are
+    cached per (n_modes, front) and shared by every context.
     """
     order = list(front) + [m for m in range(n_modes) if m not in front]
     new = np.arange(2**n_modes, dtype=np.int64)
@@ -286,7 +287,6 @@ class FockContext:
     n_modes: int
     dim: int
     _ladder_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _permutation_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def mode_index(self, site: int, spin: int = 0) -> int:
         if not 0 <= spin < self.spins:
@@ -325,17 +325,14 @@ class FockContext:
     def embedding(self, sites, within=None) -> tuple[np.ndarray, np.ndarray]:
         """Signed relabeling (index, sign) that embeds blocks on ``sites``
         into the full space, or into blocks on the larger site set
-        ``within``.  Cached per pair of site sets."""
+        ``within``.  Shared by every context, cached per mode layout."""
         if within is None:
             n_modes, front = self.n_modes, self.modes_of_sites(sites)
         else:
             modes = self.modes_of_sites(within)
             n_modes = len(modes)
             front = tuple(modes.index(m) for m in self.modes_of_sites(sites))
-        key = (n_modes, front)
-        if key not in self._permutation_cache:
-            self._permutation_cache[key] = _mode_permutation(n_modes, front)
-        return self._permutation_cache[key]
+        return _mode_permutation(n_modes, front)
 
 
 def build_context(graph: LatticeGraph, spins: int = 1) -> FockContext:

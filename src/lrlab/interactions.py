@@ -12,15 +12,15 @@ norm; the propagation speed they produce is
     v  = 2 e ||F_alpha|| ||Phi||_alpha
     nu = max(v, ||Phi||_{alpha,1}).
 
-Time-dependent families carry a sampler, an optional derivative, and the
-points where the time supremum of the norm is attained exactly (linear
-families attain it at the interval endpoints).
+Time-dependent families are affine paths t -> phi0 + t phi1: a model
+assembles H0 and H1 once and forms each H(t) by one axpy, a path whose
+phi1 holds no nonzero block is constant, and since the norm is convex
+along a segment its time supremum sits at an interval endpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -76,11 +76,6 @@ class Interaction:
             self._norms[key] = self.terms[key].norm()
         return self._norms[key]
 
-    def max_term_diameter(self) -> int:
-        if not self.terms:
-            return 0
-        return max(set_diameter(self.ctx.graph, k) for k in self.terms)
-
     def __add__(self, other: "Interaction") -> "Interaction":
         out = Interaction(self.ctx)
         for key, op in self.terms.items():
@@ -102,45 +97,56 @@ class Interaction:
         return len(self.terms)
 
 
-@dataclass
 class TimeDependentInteraction:
-    """Interaction-valued path with optional derivative information."""
+    """Affine interaction path t -> phi0 + t phi1 on ``interval``.
 
-    sample: Callable[[float], Interaction]
-    derivative: Callable[[float], Interaction] | None = None
-    interval: tuple = (0.0, 1.0)
-    # times where the norm supremum over the interval is attained exactly
-    exact_sup_times: tuple = ()
+    ``sample(t)`` is phi0 itself when the path is constant, that is when
+    phi1 holds no nonzero block; ``derivative(t)`` is phi1.
+    """
+
+    def __init__(self, phi0: Interaction, phi1: Interaction | None = None, interval=(0.0, 1.0)):
+        self.phi0 = phi0
+        self.phi1 = Interaction(phi0.ctx) if phi1 is None else phi1
+        self.interval = tuple(interval)
 
     @classmethod
     def constant(cls, phi: Interaction, interval=(0.0, 1.0)):
-        zero = Interaction(phi.ctx)
-        return cls(
-            sample=lambda t: phi,
-            derivative=lambda t: zero,
-            interval=tuple(interval),
-            exact_sup_times=(interval[0],),
-        )
+        return cls(phi, None, interval)
+
+    @property
+    def is_constant(self) -> bool:
+        return not any(op.block.any() for op in self.phi1.terms.values())
+
+    def sample(self, t: float) -> Interaction:
+        return self.phi0 if self.is_constant else self.phi0 + self.phi1.scale(t)
+
+    def derivative(self, t: float) -> Interaction:
+        return self.phi1
 
 
 @dataclass
 class Model:
-    """A named system: interaction path plus a static on-site part."""
+    """A named system: interaction path plus a static on-site part.
+
+    H(t) = H0 + t H1, with H0 the assembled phi0 and on-site terms and H1
+    the assembled phi1, both built once per ``max_range`` cut (H1 not at
+    all for a constant path).
+    """
 
     name: str
     ctx: FockContext
     interaction: TimeDependentInteraction
     onsite: dict = field(default_factory=dict)  # site -> LocalOperator
     params: dict = field(default_factory=dict)
-
-    def onsite_matrix(self) -> np.ndarray:
-        out = np.zeros((self.ctx.dim, self.ctx.dim), dtype=np.complex128)
-        for op in self.onsite.values():
-            op.add_to(out)
-        return out
+    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hamiltonian(self, t: float, max_range=None) -> np.ndarray:
-        return assemble(self.interaction.sample(t), self.onsite, max_range)
+        if max_range not in self._parts:
+            path = self.interaction
+            h1 = None if path.is_constant else assemble(path.phi1, None, max_range)
+            self._parts[max_range] = (assemble(path.phi0, self.onsite, max_range), h1)
+        h0, h1 = self._parts[max_range]
+        return h0.copy() if h1 is None else h0 + t * h1
 
 
 def decay_norm(graph: LatticeGraph, term_norms, alpha: float, weight: int = 0) -> float:
@@ -174,12 +180,11 @@ def time_sup_norm(
 ) -> float:
     """Supremum of the interaction norm over the interval.
 
-    Sampled on a uniform grid joined with the path's exact-supremum times,
-    so linear-in-time families are evaluated exactly.
+    Exact from the two endpoints: every term norm is convex along the
+    affine path, and so are their weighted sums and the sup over sites.
+    ``grid_points`` is accepted and has no effect.
     """
-    t0, t1 = phi_t.interval
-    times = set(np.linspace(t0, t1, grid_points)) | set(phi_t.exact_sup_times)
-    return max(interaction_norm(phi_t.sample(t), alpha, weight) for t in sorted(times))
+    return max(interaction_norm(phi_t.sample(t), alpha, weight) for t in phi_t.interval)
 
 
 def assemble(phi: Interaction, onsite: dict | None = None, max_range=None) -> np.ndarray:
@@ -278,25 +283,13 @@ def model(name: str, ctx: FockContext, **params) -> Model:
     if name == "interpolation":
         phi_a: Interaction = params["phi_a"]
         phi_b: Interaction = params["phi_b"]
-        diff = phi_b + phi_a.scale(-1.0)
-        path = TimeDependentInteraction(
-            sample=lambda t: phi_a.scale(1.0 - t) + phi_b.scale(t),
-            derivative=lambda t: diff,
-            interval=(0.0, 1.0),
-            exact_sup_times=(0.0, 1.0),
-        )
+        path = TimeDependentInteraction(phi_a, phi_b + phi_a.scale(-1.0))
         return Model(name, ctx, path, params.get("onsite", {}), {})
 
     if name == "local_perturbation":
         phi: Interaction = params["phi"]
         w: LocalOperator = params["w"]
-        w_phi = Interaction(ctx, {w.support: w})
-        path = TimeDependentInteraction(
-            sample=lambda t: phi + w_phi.scale(t),
-            derivative=lambda t: w_phi,
-            interval=(0.0, 1.0),
-            exact_sup_times=(0.0, 1.0),
-        )
+        path = TimeDependentInteraction(phi, Interaction(ctx, {w.support: w}))
         return Model(name, ctx, path, params.get("onsite", {}), {})
 
     raise ValueError(f"unknown model {name!r}")

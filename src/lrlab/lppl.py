@@ -139,8 +139,6 @@ def lppl_measure(
     ctx = family.ctx
     g = ctx.graph
     f_minus, f_plus = float(window[0]), float(window[1])
-    if family.interaction.derivative is None:
-        raise ValueError("the family carries no derivative information")
     dphi = family.interaction.derivative(0.0)
     x_region = tuple(sorted({z for key in dphi.terms for z in key}))
     if not x_region:

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from lrlab import interactions
 from lrlab.dynamics import Propagator, StepperSettings, heisenberg, lr_sweep, propagate
 from lrlab.fock import build_context, ladder, number_operator
-from lrlab.interactions import Interaction, assemble, model, random_two_body
+from lrlab.interactions import (
+    Interaction,
+    TimeDependentInteraction,
+    assemble,
+    model,
+    random_two_body,
+)
 from lrlab.lattice import build_lattice
 from lrlab.linalg import expm_hermitian
 
@@ -197,8 +204,9 @@ def test_constant_non_selfadjoint_generator_rejected():
 
 
 def model_generator(m, max_range=None):
-    onsite = m.onsite_matrix()
-    return lambda t: assemble(m.interaction.sample(t), max_range=max_range) + onsite
+    h0 = assemble(m.interaction.phi0, m.onsite, max_range)
+    h1 = assemble(m.interaction.phi1, None, max_range)
+    return lambda t: h0 + t * h1
 
 
 def test_constant_model_takes_eigh_route():
@@ -225,3 +233,41 @@ def test_time_dependent_model_takes_magnus_route():
     assert series.info["route"] == "magnus"
     assert series.info["defect"] > 0.0
     assert np.array_equal(series.values, stepper_values(model_generator(m), a, b, times))
+
+
+def test_constant_model_assembles_once_per_cut_and_never_samples(monkeypatch):
+    ctx = build_context(build_lattice("path", 4))
+    m = model("atomic_limit", ctx, mu=[0.3, -0.2, 0.5, 0.1], J=0.7, alpha_tb=2.0)
+    calls = {"assemble": 0, "sample": 0}
+    assemble_orig = interactions.assemble
+    sample_orig = TimeDependentInteraction.sample
+
+    def counted_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble_orig(*args, **kwargs)
+
+    def counted_sample(self, t):
+        calls["sample"] += 1
+        return sample_orig(self, t)
+
+    monkeypatch.setattr(interactions, "assemble", counted_assemble)
+    monkeypatch.setattr(TimeDependentInteraction, "sample", counted_sample)
+    a, b = number_operator(ctx, [0]), ladder(ctx, 3)
+    times = np.linspace(0.0, 0.5, 11)
+    for cut in (None, 3, None, 3):
+        assert lr_sweep(m, a, b, times, max_range=cut).info["route"] == "eigh"
+    assert calls == {"assemble": 2, "sample": 0}
+
+
+def test_interpolation_between_equal_interactions_takes_eigh_route():
+    rng = np.random.default_rng(17)
+    ctx = build_context(build_lattice("path", 4))
+    phi = random_two_body(ctx, rng, alpha_tb=2.0)
+    m = model("interpolation", ctx, phi_a=phi, phi_b=phi)
+    assert m.interaction.phi1.terms and m.interaction.is_constant
+    a, b = number_operator(ctx, [0]), number_operator(ctx, [3])
+    times = np.linspace(0.0, 1.0, 6)
+    series = lr_sweep(m, a, b, times)
+    assert series.info["route"] == "eigh"
+    want = stepper_values(lambda t: assemble(phi), a, b, times)
+    assert np.abs(series.values - want).max() < 1e-9

@@ -121,6 +121,40 @@ def test_local_perturbation_path(ctx5):
     assert m.interaction.derivative(0.7).term_norm((3,)) == pytest.approx(1.0)
 
 
+def random_paths(ctx, seed):
+    """One model of each path kind: constant, interpolation, local perturbation."""
+    rng = np.random.default_rng(seed)
+    phi_a = random_two_body(ctx, rng, alpha_tb=2.0)
+    phi_b = random_two_body(ctx, rng, alpha_tb=2.0, strength=0.6)
+    onsite = {z: rng.standard_normal() * number_operator(ctx, [z]) for z in ctx.graph.vertices}
+    w = 0.8 * (number_operator(ctx, [1]) @ number_operator(ctx, [2])) + 0.3 * unit_hop(ctx, 1, 2)
+    return [
+        model("atomic_limit", ctx, mu=[0.4, -0.3, 1.1, 0.2, 0.7], J=0.5, alpha_tb=2.0),
+        model("interpolation", ctx, phi_a=phi_a, phi_b=phi_b, onsite=onsite),
+        model("local_perturbation", ctx, phi=phi_a, w=w, onsite=onsite),
+    ]
+
+
+def test_model_hamiltonian_matches_assembled_sample(ctx5):
+    for m in random_paths(ctx5, 21):
+        for cut in (None, 2):
+            for t in np.linspace(0.0, 1.0, 11):
+                want = assemble(m.interaction.sample(t), m.onsite, cut)
+                got = m.hamiltonian(t, cut)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_time_sup_norm_matches_fine_grid(ctx5, seed):
+    for m in random_paths(ctx5, seed)[1:]:
+        for alpha, weight in ((2.0, 0), (3.0, 1)):
+            grid = max(
+                interaction_norm(m.interaction.sample(t), alpha, weight)
+                for t in np.linspace(0.0, 1.0, 101)
+            )
+            assert time_sup_norm(m.interaction, alpha, weight) == pytest.approx(grid, rel=1e-12)
+
+
 def test_velocity_formula(ctx5):
     phi = Interaction(ctx5, {(0, 1): unit_hop(ctx5, 0, 1)})
     alpha = 2.0
