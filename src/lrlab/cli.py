@@ -13,10 +13,12 @@ and seed give byte-identical files: reductions happen in grid order and
 nothing timestamps the output.  The ``threads`` setting is validated and
 accepted but runs are serial, so it cannot change a result.
 
-Validation computes nothing.  Curve specs are read and checked through
-``bounds.CURVE_FAMILIES``, the registry ``bounds.curve`` builds from, so
-a spec that validates is one the runner can build and evaluate at every
-distance the experiment uses.
+Validation computes nothing.  Each spec is read and checked through the
+registry its runner builds from: curves through ``bounds.CURVE_FAMILIES``,
+models (``model`` and spectral-flow's ``hopping``) through
+``interactions.MODELS`` and lr-verify observables through ``OBSERVABLES``.
+So a spec that validates is one the runner can build and evaluate at
+every distance the experiment uses.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +48,7 @@ from .flow import (
     sector_gap,
 )
 from .fock import DEFAULT_DIM_CAP, build_context, dim_cap, ladder, number_operator
-from .interactions import (
-    Interaction,
-    Model,
-    TimeDependentInteraction,
-    assemble,
-    model,
-    random_two_body,
-)
+from .interactions import MODELS, Model, assemble, hop_term, model
 from .lattice import build_lattice, set_distance
 from .lppl import lppl_measure, perturbed_atomic_chain
 from .spin import (
@@ -79,8 +75,6 @@ CONVENTIONS = {
     "trivial_cap": 2.0,
 }
 
-EVEN_KINDS = {"number", "hop", "pair"}
-ODD_KINDS = {"ladder"}
 _BASE_CURVE = {"family": "split_range", "split_range": 2.0}  # spin-compare default
 
 
@@ -99,6 +93,25 @@ class ConfigError(ValueError):
         super().__init__("; ".join(str(f) for f in self.findings))
 
 
+@dataclass(frozen=True)
+class ObservableKind:
+    """An lr-verify observable kind."""
+
+    key: str  # the spec field holding its sites: "site" (one) or "sites" (a list)
+    count: int | None  # how many sites; None: any nonzero number
+    distinct: bool  # its two sites must differ
+    parity: str
+    build: Callable  # build(ctx, sites) -> LocalOperator
+
+
+OBSERVABLES = {
+    "number": ObservableKind("sites", None, False, "even", number_operator),
+    "hop": ObservableKind("sites", 2, False, "even", lambda ctx, s: hop_term(ctx, *s)),
+    "pair": ObservableKind("sites", 2, True, "even", lambda ctx, s: ladder(ctx, s[0]) @ ladder(ctx, s[1])),
+    "ladder": ObservableKind("site", 1, False, "odd", lambda ctx, s: ladder(ctx, s[0])),
+}
+
+
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
@@ -114,19 +127,25 @@ def load_config(path: str) -> dict:
 # value shapes the runners read, per field; a tuple lists alternatives, a
 # dict a mapping's known keys and a one-element list a list's items
 _NUMBER, _INTEGER, _TEXT = "a number", "an integer", "a string"
-_CURVE = (_TEXT, {"family": _TEXT, **{
-    key: {float: _NUMBER, int: _INTEGER}[typ]
-    for fam in CURVE_FAMILIES.values() for key, (typ, _) in fam.params.items()
-}})
-_OBSERVABLE = {"kind": _TEXT, "site": _INTEGER, "sites": [_INTEGER]}
+_TYPE_SHAPES = {float: _NUMBER, int: _INTEGER, float | list[float]: (_NUMBER, [_NUMBER])}
+
+
+def _param_shapes(*kinds) -> dict:
+    """Shapes of the parameters of registry entries (curve families, models)."""
+    return {key: _TYPE_SHAPES[typ] for kind in kinds for key, (typ, _) in kind.params.items()}
+
+
+_CURVE = (_TEXT, {"family": _TEXT, **_param_shapes(*CURVE_FAMILIES.values())})
+_OBSERVABLE = {
+    "kind": _TEXT, **{k.key: _INTEGER if k.key == "site" else [_INTEGER] for k in OBSERVABLES.values()}
+}
+# a config may name the models whose parameters are all numbers
+_CONFIG_MODELS = {n: k for n, k in MODELS.items() if all(t in _TYPE_SHAPES for t, _ in k.params.values())}
 _SHAPES = {
     "lattice": {"kind": _TEXT, "n": _INTEGER},
     "alpha": _NUMBER,
     "curves": [_CURVE],
-    "model": {
-        "name": _TEXT, "J": _NUMBER, "alpha_tb": _NUMBER,
-        "strength": _NUMBER, "pair_fraction": _NUMBER,
-    },
+    "model": {"name": _TEXT, **_param_shapes(*_CONFIG_MODELS.values())},
     "observables": {"a": _OBSERVABLE, "b": _OBSERVABLE, "x": [_INTEGER], "y": [_INTEGER]},
     "grid": {},
     "slack": _NUMBER,
@@ -134,7 +153,7 @@ _SHAPES = {
     "fields": [_NUMBER],
     "gap": {"g": _NUMBER, "delta": _NUMBER},
     "generators": [_TEXT],
-    "hopping": {"J": _NUMBER, "alpha_tb": _NUMBER},
+    "hopping": _param_shapes(MODELS["long_range_hopping"]),
     "chain": {
         "n": _INTEGER, "site": _INTEGER, "alpha_tb": _NUMBER, "hop": _NUMBER,
         "base_field": _NUMBER, "field_step": _NUMBER, "strength": _NUMBER,
@@ -304,6 +323,21 @@ def _sites_findings(field: str, sites, graph, count: int | None = None) -> list:
     return []
 
 
+def _site_list(spec: dict):
+    """An observable's sites, read from the field its kind declares."""
+    kind = OBSERVABLES.get(spec.get("kind"))
+    return [spec.get("site")] if kind is not None and kind.key == "site" else spec.get("sites")
+
+
+def _model_findings(field: str, name, spec: dict, dim: int, graph) -> list:
+    """Findings on a model spec; ``graph`` is None when the lattice is unknown."""
+    kind = _CONFIG_MODELS.get(name)
+    if kind is None:
+        return [Finding(f"{field}.name", f"unknown model {name!r}")]
+    n_sites = None if graph is None else graph.n_sites
+    return [Finding(f"{field}.{key}", reason) for key, reason in kind.problems(spec, dim, n_sites)]
+
+
 def validate_config(cfg: dict) -> list:
     """Check every domain constraint without running anything.
 
@@ -326,10 +360,8 @@ def validate_config(cfg: dict) -> list:
     if not (isinstance(threads, int) and threads >= 1):
         out.append(Finding("threads", "must be a positive integer"))
 
-    graph_dim = 1
     lat = cfg.get("lattice")
-    if isinstance(lat, dict) and lat.get("kind") in ("square_patch", "square_torus"):
-        graph_dim = 2
+    graph_dim = 2 if isinstance(lat, dict) and lat.get("kind") in ("square_patch", "square_torus") else 1
 
     if kind in ("lr-verify", "bound-curves"):
         lattice_out, graph = _lattice_findings(cfg, 2)
@@ -337,10 +369,7 @@ def validate_config(cfg: dict) -> list:
         # the smallest distance the curves are evaluated at
         if kind == "lr-verify":
             obs = cfg.get("observables", {})
-            sites = [
-                [spec.get("site")] if spec.get("kind") in ODD_KINDS else spec.get("sites")
-                for spec in (obs.get("a"), obs.get("b")) if isinstance(spec, dict)
-            ]
+            sites = [_site_list(spec) for spec in (obs.get("a"), obs.get("b")) if isinstance(spec, dict)]
             distance = _distance(graph, *sites) if len(sites) == 2 else None
         else:
             grid = cfg.get("grid", {})
@@ -349,65 +378,38 @@ def validate_config(cfg: dict) -> list:
         items = [(f"curves[{k}]", spec) for k, spec in enumerate(cfg.get("curves") or [])]
         out += _curve_findings(cfg, items, graph_dim, graph, distance)
         mspec = cfg.get("model", {})
-        if mspec.get("name") not in (
-            "long_range_hopping",
-            "long_range_density",
-            "atomic_limit",
-            "random_two_body",
-            "zero",
-        ):
-            out.append(Finding("model.name", f"unknown model {mspec.get('name')!r}"))
-        elif mspec.get("name") != "zero":
-            if float(mspec.get("alpha_tb", 0.0)) <= graph_dim:
-                out.append(
-                    Finding(
-                        "model.alpha_tb",
-                        f"term decay must exceed the lattice dimension D={graph_dim}",
-                    )
-                )
+        out += _model_findings("model", mspec.get("name"), mspec, graph_dim, graph)
 
     if kind == "lr-verify":
         out += _grid_findings("times", cfg.get("times"), need_start_zero=True)
         parities = []
         for slot in ("a", "b"):
             spec = obs.get(slot)
-            if not isinstance(spec, dict) or spec.get("kind") not in EVEN_KINDS | ODD_KINDS:
-                out.append(
-                    Finding(
-                        f"observables.{slot}",
-                        "kind must be one of number, hop, pair, ladder",
-                    )
-                )
-            elif spec["kind"] in ODD_KINDS:
-                parities.append("odd")
-                if spec.get("site") is None:
-                    out.append(Finding(f"observables.{slot}.site", "need a site"))
-                else:
-                    out += _sites_findings(f"observables.{slot}.site", [spec["site"]], graph)
-            else:
-                parities.append("even")
-                count = None if spec["kind"] == "number" else 2
-                sites_out = _sites_findings(f"observables.{slot}.sites", spec.get("sites"), graph, count)
-                if not sites_out and spec["kind"] == "pair" and len(set(spec["sites"])) < 2:
-                    sites_out = [Finding(f"observables.{slot}.sites", "a pair needs two different sites")]
-                out += sites_out
+            okind = OBSERVABLES.get(spec.get("kind")) if isinstance(spec, dict) else None
+            if okind is None:
+                out.append(Finding(f"observables.{slot}", f"kind must be one of {', '.join(OBSERVABLES)}"))
+                continue
+            parities.append(okind.parity)
+            field = f"observables.{slot}.{okind.key}"
+            if okind.key == "site" and spec.get("site") is None:
+                out.append(Finding(field, "need a site"))
+                continue
+            sites = _site_list(spec)
+            sites_out = _sites_findings(field, sites, graph, okind.count)
+            if not sites_out and okind.distinct and len(set(sites)) < len(sites):
+                sites_out = [Finding(field, f"a {spec['kind']} needs two different sites")]
+            out += sites_out
         if parities == ["odd", "odd"]:
-            out.append(
-                Finding(
-                    "observables",
-                    "at least one observable must be even; no certified curve"
-                    " covers an odd-odd pair",
-                )
-            )
+            reason = "at least one observable must be even; no certified curve covers an odd-odd pair"
+            out.append(Finding("observables", reason))
 
     if kind == "bound-curves":
         out += r_out + _grid_findings("grid.dt", grid.get("dt"), need_start_zero=True)
 
     if kind == "spectral-flow":
-        out += _lattice_findings(cfg, 2)[0]
-        lat = cfg.get("lattice", {})
-        fields = cfg.get("fields", [])
-        if isinstance(lat.get("n"), int) and len(fields) != lat["n"]:
+        lattice_out, graph = _lattice_findings(cfg, 2)
+        out += lattice_out
+        if graph is not None and len(cfg.get("fields", [])) != graph.n_sites:
             out.append(Finding("fields", "need one on-site field per lattice site"))
         gap = cfg.get("gap", {})
         g = float(gap.get("g", 0.0))
@@ -422,8 +424,7 @@ def validate_config(cfg: dict) -> list:
         for gen in cfg.get("generators", ["kato", "hastings"]):
             if gen not in ("kato", "hastings"):
                 out.append(Finding("generators", f"unknown generator {gen!r}"))
-        if float(cfg.get("hopping", {}).get("alpha_tb", 3.0)) <= 1.0:
-            out.append(Finding("hopping.alpha_tb", "term decay must exceed the lattice dimension D=1"))
+        out += _model_findings("hopping", "long_range_hopping", cfg.get("hopping", {}), graph_dim, graph)
 
     if kind == "lppl":
         chain = cfg.get("chain", {})
@@ -432,20 +433,19 @@ def validate_config(cfg: dict) -> list:
         if float(chain.get("alpha_tb", 4.0)) <= 1.0:
             out.append(Finding("chain.alpha_tb", "term decay must exceed the lattice dimension D=1"))
         site = int(chain.get("site", 0))
+        strength = float(chain.get("strength", 0.5))
         if not 0 <= site < n:
             out.append(Finding("chain.site", "perturbed site must lie on the chain"))
-        strength = float(chain.get("strength", 0.5))
+        elif strength > 0 and max(site, n - 1 - site) < 4:
+            far = max(site, n - 1 - site)
+            reason = "the tail fit needs sites at distances 2, 3 and 4 from the perturbed site"
+            out.append(Finding("chain.site", f"{reason}; the farthest is at distance {far}"))
         step = float(chain.get("field_step", 1.0))
         if strength < 0:
             out.append(Finding("chain.strength", "must be nonnegative"))
         elif strength >= 0.7 * step:
-            out.append(
-                Finding(
-                    "chain.strength",
-                    "perturbation strength risks a level crossing in the window;"
-                    f" keep it below 0.7 * field_step = {0.7 * step:g}",
-                )
-            )
+            reason = "perturbation strength risks a level crossing in the window; keep it below"
+            out.append(Finding("chain.strength", f"{reason} 0.7 * field_step = {0.7 * step:g}"))
         out += _grid_findings("s_grid", cfg.get("s_grid", {"start": 0, "stop": 1, "count": 5}))
 
     if kind == "spin-compare":
@@ -458,6 +458,8 @@ def validate_config(cfg: dict) -> list:
         out += lattice_out
         if spin.get("model", "random") not in ("random", "ising"):
             out.append(Finding("spin.model", "must be 'random' or 'ising'"))
+        elif spin.get("model") == "ising" and local_dim > 2:
+            out.append(Finding("spin.local_dim", "the ising chain needs two-level sites"))
         items = [("base_curve", cfg.get("base_curve", _BASE_CURVE))]
         distance = _distance(graph, obs.get("x"), obs.get("y"))
         out += _curve_findings(cfg, items, graph_dim, graph, distance)
@@ -480,39 +482,13 @@ def _params_record(p: BoundParams) -> dict:
     return {k: (float(v) if isinstance(v, (int, float, np.floating)) else v) for k, v in d.items()}
 
 
-def _fermi_observable(ctx, spec: dict):
-    kind = spec["kind"]
-    if kind == "number":
-        return number_operator(ctx, list(spec["sites"]))
-    if kind == "ladder":
-        return ladder(ctx, int(spec["site"]))
-    sites = list(spec["sites"])
-    if kind == "hop":
-        x, y = sites
-        return ladder(ctx, x, dagger=True) @ ladder(ctx, y) + ladder(
-            ctx, y, dagger=True
-        ) @ ladder(ctx, x)
-    if kind == "pair":
-        x, y = sites
-        return ladder(ctx, x) @ ladder(ctx, y)
-    raise ConfigError([Finding("observables", f"unknown observable kind {kind!r}")])
+def _observable(ctx, spec: dict):
+    return OBSERVABLES[spec["kind"]].build(ctx, [int(z) for z in _site_list(spec)])
 
 
-def _build_interaction(ctx, mspec: dict, rng) -> Model:
-    name = mspec["name"]
-    if name == "zero":
-        phi = Interaction(ctx)
-    elif name == "random_two_body":
-        phi = random_two_body(
-            ctx,
-            rng,
-            alpha_tb=float(mspec.get("alpha_tb", 3.0)),
-            strength=float(mspec.get("strength", 1.0)),
-            pair_fraction=float(mspec.get("pair_fraction", 1.0)),
-        )
-    else:
-        return model(name, ctx, **{k: v for k, v in mspec.items() if k != "name"})
-    return Model(name, ctx, TimeDependentInteraction.constant(phi))
+def _config_model(ctx, name: str, spec: dict, rng) -> Model:
+    """``model(name)`` on the parameters of ``spec`` that the model takes."""
+    return model(name, ctx, rng=rng, **{k: spec[k] for k in MODELS[name].params if k in spec})
 
 
 def _certificate_summary(rep) -> dict:
@@ -534,9 +510,8 @@ def _run_lr_verify(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     ctx = build_context(g)
-    m = _build_interaction(ctx, cfg["model"], rng)
-    a = _fermi_observable(ctx, cfg["observables"]["a"])
-    b = _fermi_observable(ctx, cfg["observables"]["b"])
+    m = _config_model(ctx, cfg["model"]["name"], cfg["model"], rng)
+    a, b = (_observable(ctx, cfg["observables"][slot]) for slot in ("a", "b"))
     series = lr_sweep(m, a, b, _grid(cfg["times"]))
     p = BoundParams.from_interaction(
         m.interaction, float(cfg["alpha"]), support_x=a.support, support_y=b.support
@@ -563,21 +538,12 @@ def _run_bound_curves(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
     ctx = build_context(g)
-    m = _build_interaction(ctx, cfg["model"], rng)
+    m = _config_model(ctx, cfg["model"]["name"], cfg["model"], rng)
     p = BoundParams.from_interaction(m.interaction, float(cfg["alpha"]))
     curves = [curve(p, fam, g, **opt) for fam, opt in map(_curve_spec, cfg["curves"])]
-    rs = _grid(cfg["grid"]["r"])
     dts = _grid(cfg["grid"]["dt"])
-    points = [(float(r), float(dt)) for r in rs for dt in dts]
-
-    def one(point):
-        r, dt = point
-        row = {"r": r, "dt": dt}
-        for c in curves:
-            row[c.label] = float(c(r, dt))
-        return row
-
-    rows = [one(point) for point in points]
+    points = [(float(r), float(dt)) for r in _grid(cfg["grid"]["r"]) for dt in dts]
+    rows = [{"r": r, "dt": dt, **{c.label: float(c(r, dt)) for c in curves}} for r, dt in points]
     vals = np.array([[row[c.label] for c in curves] for row in rows])
     summary = {
         "experiment": "bound-curves",
@@ -591,19 +557,10 @@ def _run_bound_curves(cfg, rng):
 
 
 def _run_spectral_flow(cfg, rng):
-    lat = cfg["lattice"]
-    g = build_lattice(lat["kind"], lat["n"])
-    ctx = build_context(g)
+    ctx = build_context(build_lattice(cfg["lattice"]["kind"], cfg["lattice"]["n"]))
     fields = [float(v) for v in cfg["fields"]]
-    h_onsite = np.zeros((ctx.dim, ctx.dim), dtype=np.complex128)
-    for z in g.vertices:
-        h_onsite += fields[z] * number_operator(ctx, [z]).matrix
-    hop = model(
-        "long_range_hopping",
-        ctx,
-        J=float(cfg["hopping"]["J"]),
-        alpha_tb=float(cfg["hopping"]["alpha_tb"]),
-    )
+    h_onsite = model("atomic_limit", ctx, mu=fields).hamiltonian(0.0)
+    hop = _config_model(ctx, "long_range_hopping", cfg["hopping"], rng)
     h_hop = assemble(hop.interaction.sample(0.0))
 
     def h_fn(s):
@@ -640,33 +597,27 @@ def _run_spectral_flow(cfg, rng):
     constants = {
         "weight": {"gap": float(gap_cfg["g"]), "soft": float(gap_cfg.get("delta", 0.0))},
         "fields": fields,
-        "hopping": {k: float(v) for k, v in cfg["hopping"].items()},
+        "hopping": {k: float(v) for k, v in hop.params.items()},
     }
     return rows, summary, constants
 
 
 def _run_lppl(cfg, rng):
-    chain = dict(cfg.get("chain", {}))
-    family, window = perturbed_atomic_chain(
-        n=int(chain.get("n", 8)),
-        alpha_tb=float(chain.get("alpha_tb", 4.0)),
-        hop=float(chain.get("hop", 0.5)),
-        base_field=float(chain.get("base_field", 4.0)),
-        field_step=float(chain.get("field_step", 1.0)),
-        strength=float(chain.get("strength", 0.5)),
-        site=int(chain.get("site", 0)),
-    )
+    # the keys the chain sets, typed; perturbed_atomic_chain supplies the rest
+    shapes = _SHAPES["chain"]
+    chain = {k: (int if shapes[k] == _INTEGER else float)(v) for k, v in cfg.get("chain", {}).items()
+             if k in shapes}
+    family, window = perturbed_atomic_chain(**chain)
     s_spec = cfg.get("s_grid", {"start": 0.0, "stop": 1.0, "count": 5})
     report = lppl_measure(family, window, s_grid=_grid(s_spec))
-    rows = []
-    for probe in report.per_probe:
-        rows.append(
-            {
-                "support": "+".join(str(z) for z in probe["support"]),
-                "distance": "" if probe["distance"] is None else int(probe["distance"]),
-                "difference": float(probe["difference"]),
-            }
-        )
+    rows = [
+        {
+            "support": "+".join(str(z) for z in probe["support"]),
+            "distance": "" if probe["distance"] is None else int(probe["distance"]),
+            "difference": float(probe["difference"]),
+        }
+        for probe in report.per_probe
+    ]
     summary = {
         "experiment": "lppl",
         "rank": int(report.rank),
@@ -679,7 +630,7 @@ def _run_lppl(cfg, rng):
         "x_region": list(report.x_region),
     }
     constants = {
-        "chain": {k: (int(v) if k in ("n", "site") else float(v)) for k, v in chain.items()},
+        "chain": chain,
         "window": [float(window[0]), float(window[1])],
     }
     return rows, summary, constants

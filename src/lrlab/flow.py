@@ -72,6 +72,8 @@ __all__ = [
     "automorphic_deviation",
 ]
 
+WINDOW_EDGE_TOL = 1e-9  # closest an eigenvalue may sit to a gap_analysis window boundary
+
 
 def smooth_step(x):
     """C-infinity step: 0 for x <= 0, 1 for x >= 1, flat at both ends."""
@@ -99,7 +101,7 @@ class WeightFunction:
     frequency 0, which is the right choice for flow generators.
     """
 
-    def __init__(self, gap: float, soft: float = 0.0, inner_nodes: int = 96):
+    def __init__(self, gap: float, soft: float = 0.0):
         if gap <= 0:
             raise ValueError("gap must be positive")
         soft = float(soft)
@@ -108,11 +110,10 @@ class WeightFunction:
         self.gap = float(gap)
         self.soft = soft
         # composite Gauss-Legendre on [soft, gap] for the
-        # (1 - chi(omega)) sin(omega t)/omega part; panels keep the
-        # oscillatory integrand resolved at large |t|
-        panels = max(6, inner_nodes // 16)
+        # (1 - chi(omega)) sin(omega t)/omega part; 6 panels of 16 nodes keep
+        # the oscillatory integrand resolved at large |t|
         x, w = leggauss(16)
-        edges = np.linspace(self.soft, self.gap, panels + 1)
+        edges = np.linspace(self.soft, self.gap, 6 + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mids = 0.5 * (edges[1:] + edges[:-1])
         self._nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
@@ -220,10 +221,10 @@ class GapAnalysis:
     projector: np.ndarray
 
 
-def gap_analysis(h, f_minus: float, f_plus: float, edge_tol: float = 1e-9) -> GapAnalysis:
+def gap_analysis(h, f_minus: float, f_plus: float) -> GapAnalysis:
     """Select the part of the spectrum inside an energy window.
 
-    The window must separate cleanly: an eigenvalue within ``edge_tol``
+    The window must separate cleanly: an eigenvalue within ``WINDOW_EDGE_TOL``
     of either boundary is an error, as are an empty selection and a
     selection leaving no complement.
     """
@@ -235,7 +236,7 @@ def gap_analysis(h, f_minus: float, f_plus: float, edge_tol: float = 1e-9) -> Ga
         float(np.abs(evals - f_minus).min()),
         float(np.abs(evals - f_plus).min()),
     )
-    if near <= edge_tol:
+    if near <= WINDOW_EDGE_TOL:
         raise ValueError("window boundary touches the spectrum")
     inside = (evals > f_minus) & (evals < f_plus)
     if not inside.any():
@@ -416,7 +417,6 @@ def extract_interaction(
     h,
     phi: Interaction,
     weight: WeightFunction,
-    drop_tol: float = 0.0,
 ) -> Interaction:
     """Quasi-local interaction representing A -> J_H(A) term by term.
 
@@ -437,8 +437,6 @@ def extract_interaction(
     out = Interaction(ctx)
     for key, b in sorted(acc.items()):
         b = 0.5 * (b + b.conj().T)  # symmetrize away quadrature roundoff
-        if drop_tol and op_norm(b) <= drop_tol:
-            continue
         out.add_term(key, LocalOperator.from_block(ctx, b, key))
     return out
 

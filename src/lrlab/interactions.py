@@ -16,10 +16,16 @@ Time-dependent families are affine paths t -> phi0 + t phi1: a model
 assembles H0 and H1 once and forms each H(t) by one axpy, a path whose
 phi1 holds no nonzero block is constant, and since the norm is convex
 along a segment its time supremum sits at an interval endpoint.
+
+``MODELS`` is the one list of the zoo: per model it holds the parameter
+names with their types and defaults, the admissibility check and the
+builder.  ``model`` builds through it and the config validator checks
+against it, so the two cannot disagree about a model.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +43,10 @@ __all__ = [
     "time_sup_norm",
     "assemble",
     "lr_velocity",
+    "MODELS",
+    "ModelKind",
     "model",
+    "hop_term",
     "random_two_body",
 ]
 
@@ -218,81 +227,118 @@ def lr_velocity(phi, alpha: float) -> tuple[float, float]:
 # model zoo
 
 
-def _hop_term(ctx, x, y, coeff, spin=0):
-    ax = ladder(ctx, x, spin)
-    ay = ladder(ctx, y, spin)
-    op = ax.adjoint() @ ay + ay.adjoint() @ ax
-    return coeff * op
-
-
 def _pair_sites(g: LatticeGraph):
     for x in range(g.n_sites):
         for y in range(x + 1, g.n_sites):
             yield x, y
 
 
-def _site_fields(ctx, mu):
-    if np.isscalar(mu):
-        fields = [float(mu)] * ctx.graph.n_sites
-    else:
-        fields = [float(m) for m in mu]
-        if len(fields) != ctx.graph.n_sites:
-            raise ValueError("one field per site required")
-    return {z: fields[z] * number_operator(ctx, [z]) for z in ctx.graph.vertices}
+def hop_term(ctx: FockContext, x: int, y: int) -> LocalOperator:
+    """a_x* a_y + a_y* a_x."""
+    ax, ay = ladder(ctx, x), ladder(ctx, y)
+    return ax.adjoint() @ ay + ay.adjoint() @ ax
+
+
+def _couplings(coupling):
+    """Builder of the constant model coupling(ctx, x, y) J / (1 + d(x, y))^alpha_tb
+    on every pair of sites."""
+
+    def build(ctx, v, rng):
+        g, phi = ctx.graph, Interaction(ctx)
+        for x, y in _pair_sites(g):
+            c = float(v["J"]) / (1.0 + g.distance(x, y)) ** float(v["alpha_tb"])
+            phi.add_term((x, y), c * coupling(ctx, x, y))
+        return phi, None, {}
+
+    return build
+
+
+def _atomic_limit(ctx, v, rng):
+    g, mu = ctx.graph, v["mu"]
+    fields = [float(mu)] * g.n_sites if np.isscalar(mu) else [float(m) for m in mu]
+    if len(fields) != g.n_sites:
+        raise ValueError("one field per site required")
+    hops = _couplings(hop_term)(ctx, v, rng)[0] if float(v["J"]) != 0.0 else Interaction(ctx)
+    return hops, None, {z: fields[z] * number_operator(ctx, [z]) for z in g.vertices}
+
+
+def _random(ctx, v, rng):
+    if rng is None:
+        raise ValueError("the random_two_body model needs rng")
+    return random_two_body(ctx, rng, **{k: float(x) for k, x in v.items()}), None, {}
+
+
+def _admissible(v, dim, n_sites):
+    """alpha_tb above the lattice dimension, and a list of fields mu one per site."""
+    if float(v["alpha_tb"]) <= dim:
+        yield "alpha_tb", f"term decay must exceed the lattice dimension D={dim}"
+    if "mu" in v and n_sites is not None and np.ndim(v["mu"]) and len(v["mu"]) != n_sites:
+        yield "mu", f"need one field per lattice site, got {len(v['mu'])} for {n_sites} sites"
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """A zoo entry.  ``build(ctx, values, rng)`` returns the path's phi0 and
+    phi1 (None: constant) and the on-site terms.  ``check(values, dim,
+    n_sites)`` yields (parameter, reason) pairs for complete values that
+    cannot be built, or would not decay, on a lattice of dimension ``dim``
+    with ``n_sites`` sites (None: unknown)."""
+
+    name: str
+    params: dict  # name -> (type, default); a None default marks a required value
+    build: Callable
+    check: Callable = lambda values, dim, n_sites: ()
+
+    def resolve(self, params: dict) -> dict:
+        return {k: params.get(k, d) for k, (_, d) in self.params.items()}
+
+    def problems(self, params: dict, dim: int, n_sites: int | None = None) -> list:
+        """Why ``model`` would fail on ``params`` or build an interaction that
+        does not decay, as (parameter, reason) pairs; computes nothing."""
+        values = self.resolve(params)
+        missing = [(k, f"the {self.name} model needs {k}") for k, v in values.items() if v is None]
+        return missing or list(self.check(values, dim, n_sites))
+
+
+_JA, _ONSITE = {"J": (float, None), "alpha_tb": (float, None)}, {"onsite": (dict, {})}
+_ATOMIC = {"mu": (float | list[float], None), "J": (float, 0.0), "alpha_tb": (float, 4.0)}
+_RANDOM = {"alpha_tb": (float, 3.0), "strength": (float, 1.0), "pair_fraction": (float, 1.0)}
+_DENSITY = lambda ctx, x, y: number_operator(ctx, [x]) @ number_operator(ctx, [y])  # noqa: E731
+MODELS = {
+    kind.name: kind
+    for kind in (
+        ModelKind("zero", {}, lambda ctx, v, rng: (Interaction(ctx), None, {})),
+        ModelKind("long_range_hopping", _JA, _couplings(hop_term), _admissible),
+        ModelKind("long_range_density", _JA, _couplings(_DENSITY), _admissible),
+        ModelKind("atomic_limit", _ATOMIC, _atomic_limit, _admissible),
+        ModelKind("random_two_body", _RANDOM, _random, _admissible),
+        ModelKind(
+            "interpolation", {"phi_a": (Interaction, None), "phi_b": (Interaction, None), **_ONSITE},
+            lambda ctx, v, rng: (v["phi_a"], v["phi_b"] + v["phi_a"].scale(-1.0), dict(v["onsite"])),
+        ),
+        ModelKind(
+            "local_perturbation", {"phi": (Interaction, None), "w": (LocalOperator, None), **_ONSITE},
+            lambda ctx, v, rng: (v["phi"], Interaction(ctx, {v["w"].support: v["w"]}), dict(v["onsite"])),
+        ),
+    )
+}
 
 
 def model(name: str, ctx: FockContext, **params) -> Model:
-    """Build a zoo member.
+    """Build a model of ``MODELS``; missing parameters take their defaults.
 
-    long_range_hopping:        J, alpha_tb              hop amplitude J/(1+d)^alpha_tb
-    long_range_density:        J, alpha_tb              n_x n_y couplings
-    atomic_limit:              mu, J, alpha_tb          on-site fields + weak hopping
-    interpolation:             phi_a, phi_b[, onsite]   linear path (1-t) a + t b
-    local_perturbation:        phi, w[, onsite]         phi + t w, w a LocalOperator
+    ``rng`` reaches the random model only, and keywords a model does not
+    take are ignored.
     """
-    g = ctx.graph
-    if name == "long_range_hopping":
-        j, alpha_tb = float(params["J"]), float(params["alpha_tb"])
-        phi = Interaction(ctx)
-        for x, y in _pair_sites(g):
-            c = j / (1.0 + g.distance(x, y)) ** alpha_tb
-            phi.add_term((x, y), _hop_term(ctx, x, y, c))
-        return Model(name, ctx, TimeDependentInteraction.constant(phi), {}, params)
-
-    if name == "long_range_density":
-        j, alpha_tb = float(params["J"]), float(params["alpha_tb"])
-        phi = Interaction(ctx)
-        for x, y in _pair_sites(g):
-            c = j / (1.0 + g.distance(x, y)) ** alpha_tb
-            nx = number_operator(ctx, [x])
-            ny = number_operator(ctx, [y])
-            phi.add_term((x, y), c * (nx @ ny))
-        return Model(name, ctx, TimeDependentInteraction.constant(phi), {}, params)
-
-    if name == "atomic_limit":
-        onsite = _site_fields(ctx, params["mu"])
-        j = float(params.get("J", 0.0))
-        alpha_tb = float(params.get("alpha_tb", 4.0))
-        phi = Interaction(ctx)
-        if j != 0.0:
-            for x, y in _pair_sites(g):
-                c = j / (1.0 + g.distance(x, y)) ** alpha_tb
-                phi.add_term((x, y), _hop_term(ctx, x, y, c))
-        return Model(name, ctx, TimeDependentInteraction.constant(phi), onsite, params)
-
-    if name == "interpolation":
-        phi_a: Interaction = params["phi_a"]
-        phi_b: Interaction = params["phi_b"]
-        path = TimeDependentInteraction(phi_a, phi_b + phi_a.scale(-1.0))
-        return Model(name, ctx, path, params.get("onsite", {}), {})
-
-    if name == "local_perturbation":
-        phi: Interaction = params["phi"]
-        w: LocalOperator = params["w"]
-        path = TimeDependentInteraction(phi, Interaction(ctx, {w.support: w}))
-        return Model(name, ctx, path, params.get("onsite", {}), {})
-
-    raise ValueError(f"unknown model {name!r}")
+    kind = MODELS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown model {name!r}")
+    values = kind.resolve(params)
+    missing = [k for k, v in values.items() if v is None]
+    if missing:
+        raise ValueError(f"the {name} model needs {missing[0]}")
+    phi0, phi1, onsite = kind.build(ctx, values, params.get("rng"))
+    return Model(name, ctx, TimeDependentInteraction(phi0, phi1), onsite, values)
 
 
 def random_two_body(

@@ -124,14 +124,13 @@ def lppl_measure(
     window,
     probes=None,
     s_grid=None,
-    fit_floor: float = FIT_FLOOR,
 ) -> LpplReport:
     """Differences |Tr(P(1)A) - Tr(P(0)A)| against distance from the
     perturbation, with a power-law fit of the tail.
 
     The window must select a cluster of constant rank along the whole
     path.  The fit regresses log |difference| on log(1 + d) over the
-    distances d >= 2 whose differences exceed ``fit_floor``; fewer than 3
+    distances d >= 2 whose differences exceed ``FIT_FLOOR``; fewer than 3
     usable distances is an error unless every difference is at the floor
     (nothing moved, nothing to fit).  A non-monotone tail is reported as a
     finding, not an error.
@@ -145,13 +144,17 @@ def lppl_measure(
         raise ValueError("the perturbation has no declared support")
 
     s_grid = np.linspace(0.0, 1.0, 5) if s_grid is None else np.asarray(s_grid, float)
-    reps = [gap_analysis(family.hamiltonian(float(s)), f_minus, f_plus) for s in s_grid]
-    ranks = {r.rank for r in reps}
+    gaps, ranks = [], set()
+    for k, s in enumerate(s_grid):  # keeps only the end projectors, the ones read below
+        rep = gap_analysis(family.hamiltonian(float(s)), f_minus, f_plus)
+        gaps.append(rep.gap)
+        ranks.add(rep.rank)
+        if k == 0:
+            p0 = rep.projector
+    p1 = rep.projector
     if len(ranks) != 1:
         raise ValueError(f"window rank changes along the path: {sorted(ranks)}")
-    rank = reps[0].rank
-    p0 = reps[0].projector
-    p1 = reps[-1].projector
+    (rank,) = ranks
 
     if probes is None:
         probes = [number_operator(ctx, [z]) for z in g.vertices]
@@ -179,11 +182,11 @@ def lppl_measure(
     envelope = np.array([by_distance[d] for d in distances])
 
     tail = distances >= 2
-    usable = tail & (envelope > fit_floor)
+    usable = tail & (envelope > FIT_FLOOR)
     slope = intercept = residual = None
     fit_d = distances[usable]
     tail_monotone = bool(np.all(np.diff(envelope[tail]) <= 1e-15)) if tail.any() else True
-    if envelope.size == 0 or envelope.max() <= fit_floor:
+    if envelope.size == 0 or envelope.max() <= FIT_FLOOR:
         findings.append("all differences at the numerical floor; nothing to fit")
     elif int(usable.sum()) < 3:
         raise ValueError("fewer than 3 usable distances for the tail fit")
@@ -200,7 +203,7 @@ def lppl_measure(
     return LpplReport(
         x_region=x_region,
         s_grid=s_grid,
-        gaps=np.array([r.gap for r in reps]),
+        gaps=np.array(gaps),
         rank=rank,
         distances=distances,
         differences=envelope,

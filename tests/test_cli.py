@@ -10,7 +10,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlab.cli import KINDS, ConfigError, main, run_config, validate_config
+from lrlab.cli import KINDS, OBSERVABLES, ConfigError, main, run_config, validate_config
+from lrlab.interactions import MODELS
 
 
 def demo_cfg(kind):
@@ -219,6 +220,11 @@ def test_main_verbs(tmp_path, capsys):
         pytest.param(
             "lppl", lambda c: c["chain"].update(n=8.7), "chain.n", id="lppl-fractional-chain.n"
         ),
+        (
+            "lr-verify",
+            lambda c: c.update(model={"name": "atomic_limit", "J": 0.5, "alpha_tb": 3.0, "mu": "abc"}),
+            "model.mu",
+        ),
     ],
 )
 def test_malformed_values_give_findings_and_exit_2(kind, fn, field, tmp_path, capsys):
@@ -325,6 +331,50 @@ def test_malformed_values_give_findings_and_exit_2(kind, fn, field, tmp_path, ca
             "lattice.n",
             "too few vertices",
         ),
+        (
+            "lr-verify",
+            lambda c: c.update(model={"name": "long_range_hopping", "alpha_tb": 3.0}),
+            "model.J",
+            "the long_range_hopping model needs J",
+        ),
+        (
+            "lr-verify",
+            lambda c: c.update(model={"name": "atomic_limit", "J": 0.5, "alpha_tb": 3.0}),
+            "model.mu",
+            "the atomic_limit model needs mu",
+        ),
+        (
+            "lr-verify",
+            lambda c: c.update(model={"name": "atomic_limit", "J": 0.5, "alpha_tb": 3.0, "mu": [1, 2]}),
+            "model.mu",
+            "need one field per lattice site, got 2 for 5 sites",
+        ),
+        ("spectral-flow", lambda c: c.update(hopping={"J": 0.3}), "hopping.alpha_tb", "needs alpha_tb"),
+        ("spectral-flow", lambda c: c.update(hopping={"alpha_tb": 3.0}), "hopping.J", "needs J"),
+        (
+            "spectral-flow",
+            lambda c: c.update(lattice={"kind": "square_patch", "n": 2}, fields=[1.0, 2.0]),
+            "fields",
+            "need one on-site field per lattice site",
+        ),
+        pytest.param(
+            "lppl", lambda c: c["chain"].update(n=2), "chain.site", "farthest is at distance 1", id="lppl-n2"
+        ),
+        pytest.param(
+            "lppl", lambda c: c["chain"].update(n=3), "chain.site", "farthest is at distance 2", id="lppl-n3"
+        ),
+        pytest.param(
+            "lppl", lambda c: c["chain"].update(n=4), "chain.site", "distances 2, 3 and 4", id="lppl-n4"
+        ),
+        pytest.param(
+            "lppl", lambda c: c["chain"].update(n=7, site=3), "chain.site", "tail fit", id="lppl-n7-site3"
+        ),
+        (
+            "spin-compare",
+            lambda c: c["spin"].update(model="ising", local_dim=3),
+            "spin.local_dim",
+            "the ising chain needs two-level sites",
+        ),
     ],
 )
 def test_specs_the_runner_rejects_are_findings(kind, fn, field, phrase, tmp_path, capsys):
@@ -371,3 +421,76 @@ def test_validation_is_total(kind, path, value):
     findings = validate_config(cfg)
     assert isinstance(findings, list)
     assert all(isinstance(f.field, str) and isinstance(f.reason, str) for f in findings)
+
+
+@pytest.mark.parametrize(
+    "kind,fn",
+    [
+        ("lr-verify", lambda c: c.update(model={"name": "random_two_body"})),
+        (
+            "spectral-flow",
+            lambda c: c.update(lattice={"kind": "square_patch", "n": 2}, fields=[-2.0, 0.7, 1.2, 1.9]),
+        ),
+    ],
+)
+def test_specs_the_builders_take_validate_and_run(kind, fn, tmp_path):
+    cfg = mutate(kind, fn)
+    assert validate_config(cfg) == []
+    status, _ = run_config(cfg, str(tmp_path))
+    assert status == 0
+
+
+LATTICE_KINDS = ("path", "ring", "square_patch", "square_torus")
+
+
+def registry_numbers(typ, value):
+    """Values of a registry parameter type; a number keeps ``value``."""
+    return st.just(value) if typ is float else st.just(value) | st.lists(st.just(value), max_size=6)
+
+
+@st.composite
+def observable_specs(draw):
+    """A kind with its own site key, and maybe the other key too."""
+    kind = draw(st.sampled_from(list(OBSERVABLES)))
+    site = st.integers(0, 5)
+    sites = st.lists(site, min_size=1, max_size=2) | st.lists(site, max_size=3)
+    keys = {k.key: site if k.count == 1 else sites for k in OBSERVABLES.values()}
+    own = OBSERVABLES[kind].key
+    spec = draw(st.fixed_dictionaries({own: keys[own]}, optional={k: v for k, v in keys.items() if k != own}))
+    return {"kind": kind, **spec}
+
+
+@st.composite
+def registry_configs(draw):
+    """A demo config whose model, hopping, observables, lattice, field count,
+    chain size and spin model are drawn from what the registries declare."""
+    kind = draw(st.sampled_from(KINDS))
+    cfg = demo_cfg(kind)
+    if "lattice" in cfg:
+        cfg["lattice"] = {"kind": draw(st.sampled_from(LATTICE_KINDS)), "n": draw(st.integers(1, 5))}
+    numbers, often = (float, float | list[float]), st.sampled_from([True, True, True, False])
+    if "model" in cfg:
+        name = draw(st.sampled_from(list(MODELS)))
+        cfg["model"] = {"name": name} | {
+            key: draw(registry_numbers(typ, cfg["model"].get(key, 4.0 if default is None else default)))
+            for key, (typ, default) in MODELS[name].params.items()
+            if typ in numbers and draw(often)
+        }
+    if kind == "lr-verify":
+        cfg["observables"] = {"a": draw(observable_specs()), "b": draw(observable_specs())}
+    if kind == "spectral-flow":
+        hop = MODELS["long_range_hopping"].params
+        cfg["hopping"] = {k: v for k, v in cfg["hopping"].items() if k in hop and draw(often)}
+        cfg["fields"] = [cfg["fields"][k % 4] for k in range(draw(st.integers(0, 6)))]
+    if kind == "lppl":
+        cfg["chain"].update(n=draw(st.integers(1, 8)), site=draw(st.integers(-1, 8)))
+    if kind == "spin-compare":
+        cfg["spin"].update(model=draw(st.sampled_from(["random", "ising"])), local_dim=draw(st.integers(1, 3)))
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=registry_configs())
+def test_registry_configs_give_findings_or_run(cfg, tmp_path_factory):
+    if not validate_config(cfg):
+        run_config(cfg, str(tmp_path_factory.mktemp("run")))

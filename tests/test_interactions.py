@@ -218,3 +218,17 @@ def test_twelve_site_model_builds_without_dense_terms():
     assert peak < 64 * 2**20
     assert len(phi) == 66 and len(hop.interaction.sample(0.0)) == 66
     assert params.norm_alpha > 0
+
+
+def test_model_registry_defaults_and_missing_parameters(ctx5):
+    with pytest.raises(ValueError, match="the long_range_hopping model needs J"):
+        model("long_range_hopping", ctx5, alpha_tb=3.0)
+    with pytest.raises(ValueError, match="the random_two_body model needs rng"):
+        model("random_two_body", ctx5)
+    with pytest.raises(ValueError, match="unknown model 'ising'"):
+        model("ising", ctx5)
+    # defaults are the builder's: alpha_tb 3.0 for random_two_body, 4.0 for atomic_limit
+    m = model("random_two_body", ctx5, rng=np.random.default_rng(3))
+    phi = random_two_body(ctx5, np.random.default_rng(3), alpha_tb=3.0)
+    assert np.array_equal(assemble(m.interaction.phi0), assemble(phi))
+    assert model("atomic_limit", ctx5, mu=1.0).params == {"mu": 1.0, "J": 0.0, "alpha_tb": 4.0}
