@@ -502,6 +502,17 @@ def _certificate_summary(rep) -> dict:
     }
 
 
+def _sweep_summary(info: dict) -> dict:
+    """A sweep's route, stepper defect, unitarity residual and the sizes of
+    the charge sectors it ran on (one entry: the dense route)."""
+    return {
+        "route": info["route"],
+        "defect": float(info["defect"]),
+        "unitarity": float(info["unitarity"]),
+        "sectors": [int(size) for size in info["sectors"]],
+    }
+
+
 # ---------------------------------------------------------------------------
 # the five experiment families
 
@@ -524,11 +535,7 @@ def _run_lr_verify(cfg, rng):
     summary = {
         "experiment": "lr-verify",
         "certificate": _certificate_summary(rep),
-        "sweep": {
-            "route": series.info["route"],
-            "defect": float(series.info["defect"]),
-            "unitarity": float(series.info["unitarity"]),
-        },
+        "sweep": _sweep_summary(series.info),
     }
     constants = {"bound_params": _params_record(p), "curve_labels": [c.label for c in curves]}
     return rows, summary, constants
@@ -690,12 +697,14 @@ def _run_spin_compare(cfg, rng):
     summary = {
         "experiment": "spin-compare",
         "certificate": _certificate_summary(rep),
+        "sweep": _sweep_summary(series.info),
         "obstruction": {
             "commutator_norm": demo["commutator_norm"],
             "product_norm": demo["product_norm"],
             "even_odd_commutator": demo["even_odd_commutator"],
             "max_excess_over_even_trick": demo["max_excess"],
             "fallback_sum": {f"{t:g}": v for t, v in demo["fallback_sum"].items()},
+            "sweep": _sweep_summary(demo["sweep"]),
         },
     }
     constants = {

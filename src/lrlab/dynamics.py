@@ -21,8 +21,15 @@ route.  ``propagate``'s info lists the sector sizes it ended on.
 Heisenberg evolution is tau_{t,s}(A) = U(t,s)* A U(t,s); a sweep records
 the operator norm of [tau_{t,s}(A), B] over a time grid together with the
 support metadata that locality bounds consume.  A sweep takes one of two
-routes: "eigh" diagonalises a constant H once and rotates phases in its
-eigenbasis; "magnus" runs the stepper above segment by segment.
+routes.  "magnus" runs the stepper above segment by segment and takes
+each commutator norm on the whole space.  "eigh" (``commutator_norms``)
+serves a constant H: one ``eigh`` per charge sector, the finest charge H
+conserves under which A and B each map sectors one to one, and phases
+rotated block by block in the eigenbasis.  Each source sector then feeds
+exactly one block of the commutator, so its norm is exactly the largest
+block norm.  A probe of no definite charge, or an H that conserves
+nothing, runs on one sector: the dense route, by the same code.  Both
+routes record the sector sizes in the series' info.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import LocalOperator, _charge_sectors, _partition
+from .fock import LocalOperator, _charge_partitions, _charge_sectors, _partition
 from .interactions import Model
 from .lattice import set_distance
 from .linalg import expm_hermitian, is_hermitian, op_norm, polar_unitary
@@ -229,6 +236,55 @@ class CommutatorSeries:
     info: dict = field(default_factory=dict)
 
 
+# most entries one batch of per-time commutator blocks may hold; the time
+# grid is split to stay below it.  2**14 complex entries (256 KB) is the
+# size of one dense dim-128 matrix, so the batches raise peak memory no
+# higher than the dense per-time loop at dim 128; batches of 2**20 entries
+# raised a certify-sweep process's peak RSS by 1.8 MB
+_BATCH_ENTRIES = 2**14
+
+
+def _block_map(sectors, m: np.ndarray) -> dict | None:
+    """Source sector -> target sector of the nonzero blocks of ``m``.
+
+    None if a source feeds two targets or a target receives from two
+    sources.  Blocks are nonzero if any entry is exactly nonzero.
+    """
+    target, source = np.nonzero(sectors.reach(m))
+    if np.unique(source).size < source.size or np.unique(target).size < target.size:
+        return None
+    return dict(zip(source.tolist(), target.tolist()))
+
+
+def _commutator_paths(sectors, a: np.ndarray, b: np.ndarray):
+    """Block maps of A and B and the column blocks of [A_t, B] they allow.
+
+    Returns (amap, bmap, paths) with one path (l, target, mid_ab, mid_ba)
+    per source sector l whose column block can be nonzero: A_t B runs
+    l -> mid_ab -> target and B A_t runs l -> mid_ba -> target, a mid being
+    None where that product vanishes.  None if A or B has no block map, if
+    the two products of one source land in different sectors, or if two
+    sources share a target.
+    """
+    amap, bmap = _block_map(sectors, a), _block_map(sectors, b)
+    if amap is None or bmap is None:
+        return None
+    paths = []
+    for l in range(len(sectors.sizes)):
+        mid_ab = bmap.get(l) if bmap.get(l) in amap else None
+        mid_ba = amap.get(l) if amap.get(l) in bmap else None
+        targets = {amap[mid_ab]} if mid_ab is not None else set()
+        if mid_ba is not None:
+            targets.add(bmap[mid_ba])
+        if len(targets) > 1:
+            return None
+        if targets:
+            paths.append((l, targets.pop(), mid_ab, mid_ba))
+    if len({target for _, target, _, _ in paths}) < len(paths):
+        return None
+    return amap, bmap, paths
+
+
 def commutator_norms(
     h: np.ndarray,
     a: np.ndarray,
@@ -236,31 +292,78 @@ def commutator_norms(
     times,
     unitarity_tol: float = StepperSettings.unitarity_tol,
 ):
-    """||[e^{iHt} A e^{-iHt}, B]|| at every t by one diagonalisation of H.
+    """||[e^{iHt} A e^{-iHt}, B]|| at every t, by one ``eigh`` per charge sector.
 
-    Returns (values, residual), where residual is the unitarity residual
-    of the eigenvectors; above ``unitarity_tol`` the sweep raises.
-    Hermitian pairs take the symmetric-eigenvalue fast path, since
-    i[A_t, B] is then Hermitian.
+    The sectors are those of the finest charge H conserves exactly
+    (``fock._charge_partitions``: particle number, else parity, else the
+    whole space, which is also the rule below dim 32) under which A and B
+    each map every source sector into at most one target sector, and no
+    target receives from two sources; a probe of no definite charge thus
+    ends on the whole space, the one-sector case of the same code.
+
+    H is block-diagonal, so A_t = e^{iHt} A e^{-iHt} has A's block map.
+    The column block of C = [A_t, B] leaving sector l is A_t B through
+    b(l) minus B A_t through a(l); both land in one sector, and distinct
+    sources land in distinct sectors.  C*C is therefore block-diagonal and
+    ||C|| is exactly the largest norm of these column blocks.  Only the
+    nonzero blocks of A and B are rotated into the eigenbasis, and each
+    column block is formed for a batch of times at once.  Hermitian pairs
+    take the symmetric-eigenvalue fast path on blocks that return to their
+    own sector, since i[A_t, B] is then Hermitian.
+
+    Returns (values, info, (||A||, ||B||)), the two norms read off the same
+    blocks.  info is the series info of the "eigh" route: the route, the
+    defect (0), the unitarity residual of the eigenvectors (above
+    ``unitarity_tol`` the sweep raises) and the sector sizes ("sectors";
+    one entry means the dense route).
     """
-    evals, vecs = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
-    residual = float(np.abs(vecs.conj().T @ vecs - np.eye(len(evals))).max())
+    h, a, b = (np.asarray(m, dtype=np.complex128) for m in (h, a, b))
+    for sectors in _charge_partitions(h):
+        plan = _commutator_paths(sectors, a, b)
+        if plan is not None:
+            break
+    amap, bmap, paths = plan
+    sizes = sectors.sizes
+    evals, vecs = zip(*(np.linalg.eigh(blk) for blk in sectors.blocks(h)))
+    residual = max(float(np.abs(v.conj().T @ v - np.eye(v.shape[0])).max()) for v in vecs)
     if residual > unitarity_tol:
         raise RuntimeError(f"unitarity residual {residual} above tolerance")
-    at = vecs.conj().T @ np.asarray(a, dtype=np.complex128) @ vecs
-    bt = vecs.conj().T @ np.asarray(b, dtype=np.complex128) @ vecs
-    herm = is_hermitian(np.asarray(a), 1e-12) and is_hermitian(np.asarray(b), 1e-12)
+
+    def rotated(m, block_map):
+        return {
+            l: vecs[k].conj().T @ sectors.block(m, k, l) @ vecs[l] for l, k in block_map.items()
+        }
+
+    at, bt = rotated(a, amap), rotated(b, bmap)
+    herm = is_hermitian(a, 1e-12) and is_hermitian(b, 1e-12)
     times = np.asarray(times, dtype=float)
-    vals = np.empty_like(times)
-    for k, t in enumerate(times):
-        phase = np.exp(1j * evals * t)
-        a_t = (phase[:, None] * at) * phase.conj()[None, :]
-        comm = a_t @ bt - bt @ a_t
-        if herm:
-            vals[k] = float(np.abs(np.linalg.eigvalsh(1j * comm)).max())
-        else:
-            vals[k] = float(op_norm(comm))
-    return vals, residual
+    phase = [np.exp(1j * np.multiply.outer(times, w)) for w in evals]
+
+    def a_t(src, ks):
+        """A_t's block leaving sector ``src``, at the times ``ks``."""
+        return (phase[amap[src]][ks, :, None] * at[src]) * phase[src][ks, None, :].conj()
+
+    vals = np.zeros_like(times)
+    for l, target, mid_ab, mid_ba in paths:
+        step = max(1, _BATCH_ENTRIES // (sizes[target] * max(sizes)))
+        for lo in range(0, times.size, step):
+            ks = slice(lo, lo + step)
+            comm = 0.0
+            if mid_ab is not None:
+                comm = a_t(mid_ab, ks) @ bt[l]
+            if mid_ba is not None:
+                comm = comm - bt[mid_ba] @ a_t(l, ks)
+            if herm and target == l:
+                norms = np.abs(np.linalg.eigvalsh(1j * comm)).max(axis=-1)
+            else:
+                norms = np.linalg.svd(comm, compute_uv=False)[..., 0]
+            vals[ks] = np.maximum(vals[ks], norms)
+    info = {"route": "eigh", "defect": 0.0, "unitarity": residual, "sectors": list(sizes)}
+    probe_norms = tuple(
+        max((op_norm(sectors.block(m, k, l)) for l, k in block_map.items()), default=0.0)
+        for m, block_map in ((a, amap), (b, bmap))
+    )
+    return vals, info, probe_norms
 
 
 def _constant_sample(gen, times: np.ndarray, settings: StepperSettings):
@@ -308,7 +411,9 @@ def lr_sweep(
     a bare generator that returns the same matrix at every node the
     stepper would sample (``_constant_sample``), take the "eigh" route
     (``commutator_norms``); everything else takes the "magnus" route.  The
-    route is recorded in ``info`` beside the defect and unitarity residual.
+    route is recorded in ``info`` beside the defect, the unitarity residual
+    and the sizes of the charge sectors the sweep ran on ("sectors"; on the
+    "magnus" route those of the propagation, one entry meaning dense).
     """
     settings = settings or StepperSettings()
     times = np.asarray(list(times), dtype=float)
@@ -335,10 +440,9 @@ def lr_sweep(
 
     if h is not None:
         _check_hermitian(h, settings.herm_tol)
-        vals, residual = commutator_norms(
+        vals, info, _ = commutator_norms(
             h, a.matrix, b.matrix, times - times[0], settings.unitarity_tol
         )
-        info = {"route": "eigh", "defect": 0.0, "unitarity": residual}
     else:
         prop = Propagator(gen, settings)
         am, bm = a.matrix, b.matrix
@@ -346,7 +450,10 @@ def lr_sweep(
         for k, u in enumerate(prop.grid(times)):
             evolved = heisenberg(u, am)
             vals[k] = op_norm(evolved @ bm - bm @ evolved)
-        info = {"route": "magnus", "defect": prop.worst_defect, "unitarity": prop.worst_unitarity}
+        info = {
+            "route": "magnus", "defect": prop.worst_defect, "unitarity": prop.worst_unitarity,
+            "sectors": prop.sectors,
+        }
     return CommutatorSeries(
         times=times,
         values=vals,

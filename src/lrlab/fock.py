@@ -22,9 +22,10 @@ per mode layout and shared by every context.  No operator built from a
 block keeps its dense matrix.
 
 Particle number is the popcount of the basis index and parity the lowest
-bit of that count.  ``_charge_sectors`` finds the first of the two that a
-given matrix conserves exactly; the flow and dynamics modules diagonalise
-and propagate block by block on those sectors.
+bit of that count.  ``_charge_partitions`` lists the sectors of each of
+the two that a given matrix conserves exactly, finest first, and
+``_charge_sectors`` takes the first; the flow and dynamics modules
+diagonalise and propagate block by block on those sectors.
 
 The conditional expectation onto the subalgebra of a site subset X is the
 orthogonal projection in the normalized Hilbert-Schmidt inner product.  It
@@ -194,7 +195,12 @@ def _classify_parity(matrix: np.ndarray, p: np.ndarray, tol: float) -> str:
 # below this dimension one dense decomposition costs less than finding and
 # looping over sectors: on 2 vCPUs the flow generators and ``sector_gap``
 # run about twice as fast dense at dim 8 and 16, within a third of each
-# other at dim 32, and 2.5 to 4 times faster by sector at dim 128
+# other at dim 32, and 2.5 to 4 times faster by sector at dim 128.  The
+# commutator sweep (``dynamics.commutator_norms``, 20 times) is already
+# faster by sector at dim 32: 1.0-2.1 ms against 2.3-2.9 ms on one sector
+# for long-range hopping by particle number, 2.1-3.0 ms against 3.6-4.5 ms
+# for a random two-body H by parity, and 3.6-4.0 ms against 14-15 ms at
+# dim 64
 _MIN_SECTOR_DIM = 32
 
 
@@ -263,19 +269,24 @@ def _partition(dim: int, charge: str) -> _Sectors:
     return _Sectors(label.astype(np.intp))
 
 
-def _charge_sectors(m: np.ndarray) -> _Sectors:
-    """The sectors of the first charge ``m`` conserves exactly.
+def _charge_partitions(m: np.ndarray):
+    """The sectors of each charge ``m`` conserves exactly, finest first.
 
-    The charge is particle number, else parity, else none (the whole
-    space): the first whose different values ``m`` never connects, every
-    such entry exactly 0, with no tolerance.  Below ``_MIN_SECTOR_DIM`` the
-    whole space is one sector.
+    The charges are particle number, then parity, then none (the whole
+    space, always last); ``m`` conserves one if it never connects two of
+    its values, every such entry exactly 0, with no tolerance.  Below
+    ``_MIN_SECTOR_DIM`` only the whole space is listed.
     """
     dim = m.shape[0]
     for charge in ("number", "parity") if dim >= _MIN_SECTOR_DIM else ():
         if _partition(dim, charge).keeps(m):
-            return _partition(dim, charge)
-    return _partition(dim, "none")
+            yield _partition(dim, charge)
+    yield _partition(dim, "none")
+
+
+def _charge_sectors(m: np.ndarray) -> _Sectors:
+    """The sectors of the first charge ``m`` conserves exactly."""
+    return next(_charge_partitions(m))
 
 
 @dataclass(frozen=True)

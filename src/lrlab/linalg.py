@@ -16,12 +16,16 @@ __all__ = ["op_norm", "is_hermitian", "polar_unitary", "expm_hermitian"]
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether ``a`` is square and equals its adjoint up to ``tol`` (relative)."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     return bool(np.abs(a - a.conj().T).max(initial=0.0) <= tol * scale)
 
 
 def op_norm(a) -> float:
-    """Spectral norm; uses the Hermitian eigensolver when it applies."""
+    """Spectral norm; uses the Hermitian eigensolver when it applies and the
+    largest singular value otherwise, rectangular ``a`` included."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0

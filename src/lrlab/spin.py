@@ -273,15 +273,17 @@ def commutator_series(
     y_region,
     times,
 ) -> CommutatorSeries:
-    """Exact ||[tau_t(A), B]|| over a time grid by one diagonalization.
+    """Exact ||[tau_t(A), B]|| over a time grid by ``commutator_norms``.
 
     Representation-agnostic; the regions only set the reported distance
-    and sizes.  Hermitian pairs take the symmetric-eigenvalue fast path.
+    and sizes.  ||A|| and ||B|| come from the same charge-sector blocks as
+    the sweep, and ``info`` records its route, unitarity residual and
+    sector sizes.
     """
     x = site_set(graph, x_region)
     y = site_set(graph, y_region)
     times = np.asarray(list(times), dtype=float)
-    vals, residual = commutator_norms(h, a, b, times)
+    vals, info, (norm_a, norm_b) = commutator_norms(h, a, b, times)
     dist = 0 if set(x) & set(y) else set_distance(graph, x, y)
     return CommutatorSeries(
         times=times,
@@ -289,10 +291,10 @@ def commutator_series(
         distance=dist,
         size_x=len(x),
         size_y=len(y),
-        norm_a=float(op_norm(a)),
-        norm_b=float(op_norm(b)),
+        norm_a=norm_a,
+        norm_b=norm_b,
         flags=(),
-        info={"route": "eigh", "defect": 0.0, "unitarity": residual},
+        info=info,
     )
 
 
@@ -350,7 +352,7 @@ def fermionic_obstruction_demo(times=(0.0, 0.1, 0.25, 0.5)) -> dict:
     commute, as the parity-restricted theory predicts; (iii) the measured
     odd-probe commutator crossing above the even-restricted trick curve,
     next to the complement-sum fallback that replaces the trick for
-    fermions.
+    fermions.  "sweep" holds the odd probe's sweep info.
     """
     times = tuple(float(t) for t in times)
     # (i) dimension-4 oracle: two modes, disjoint singletons
@@ -400,4 +402,5 @@ def fermionic_obstruction_demo(times=(0.0, 0.1, 0.25, 0.5)) -> dict:
         "fallback_radius": radius,
         "fallback_sites": tuple(outside),
         "fallback_sum": fallback,
+        "sweep": dict(probe.info),
     }

@@ -190,6 +190,22 @@ def test_spin_compare_run(tmp_path):
     assert {"measured", "trick_single", "trick_double", "even_pair_curve"} <= set(rows[0])
 
 
+def test_summaries_record_the_sweep_sectors(tmp_path):
+    _, paths = run_config(demo_cfg("lr-verify"), str(tmp_path / "lr"))
+    _, summary, _ = read_outputs(paths)
+    # long-range hopping on 5 sites runs per particle-number sector
+    assert summary["sweep"]["sectors"] == [1, 5, 10, 10, 5, 1]
+    _, paths = run_config(demo_cfg("spin-compare"), str(tmp_path / "spin"))
+    _, summary, _ = read_outputs(paths)
+    # the random spin chain conserves no charge: one sector, the dense route
+    for sweep in (summary["sweep"], summary["obstruction"]["sweep"]):
+        assert sweep["route"] == "eigh"
+        assert sweep["defect"] == 0.0
+        assert sweep["unitarity"] <= 1e-10
+    assert summary["sweep"]["sectors"] == [32]
+    assert summary["obstruction"]["sweep"]["sectors"] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+
+
 def test_main_verbs(tmp_path, capsys):
     out = tmp_path / "cfg"
     assert main(["demo", "lppl", "--out", str(out)]) == 0

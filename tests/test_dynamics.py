@@ -1,8 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab import interactions
-from lrlab.dynamics import Propagator, StepperSettings, heisenberg, lr_sweep, propagate
+from lrlab.dynamics import (
+    Propagator,
+    StepperSettings,
+    commutator_norms,
+    heisenberg,
+    lr_sweep,
+    propagate,
+)
 from lrlab.fock import build_context, ladder, number_operator
 from lrlab.interactions import (
     Interaction,
@@ -271,3 +283,123 @@ def test_interpolation_between_equal_interactions_takes_eigh_route():
     assert series.info["route"] == "eigh"
     want = stepper_values(lambda t: assemble(phi), a, b, times)
     assert np.abs(series.values - want).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the "eigh" route per charge sector, against a dense reference
+
+
+def sweep_hamiltonian(ctx, kind, seed):
+    """(H, its sector sizes): number sectors for hopping, parity sectors for
+    two-body, and one sector once an odd on-site term joins the two-body."""
+    rng = np.random.default_rng(seed)
+    if kind == "hopping":
+        h = hop_model(ctx, j=float(rng.uniform(0.3, 1.0))).hamiltonian(0.0)
+        return h, [math.comb(ctx.n_modes, k) for k in range(ctx.n_modes + 1)]
+    h = assemble(random_two_body(ctx, rng, alpha_tb=3.0, strength=0.5))
+    if kind == "two_body":
+        return h, [ctx.dim // 2] * 2
+    c0 = ladder(ctx, 0).matrix
+    return h + 0.3 * (c0 + c0.conj().T), [ctx.dim]
+
+
+PROBE_KINDS = (
+    "number/number", "number/ladder", "ladder/ladder", "hop/ladder_dag", "majorana/ladder", "mixed"
+)
+
+
+def sweep_probes(ctx, kind, x, y):
+    """Matrices (A, B) of a probe pair.  A Majorana operator has a definite
+    parity but no definite particle number; "mixed" has neither."""
+    n = ctx.graph.n_sites
+    c = [ladder(ctx, z).matrix for z in range(n)]
+    num = [number_operator(ctx, [z]).matrix for z in range(n)]
+    hop = c[x].conj().T @ c[(x + 1) % n]
+    return {
+        "number/number": (num[x], num[y]),
+        "number/ladder": (num[x], c[y]),
+        "ladder/ladder": (c[x], c[y]),
+        "hop/ladder_dag": (hop + hop.conj().T, c[y].conj().T),
+        "majorana/ladder": (c[x] + c[x].conj().T, c[y]),
+        "mixed": (c[x] + num[x], num[y]),
+    }[kind]
+
+
+def dense_commutator_norms(h, a, b, times):
+    """||[e^{iHt} A e^{-iHt}, B]|| from scipy's expm and a full SVD."""
+    out = []
+    for t in times:
+        u = scipy.linalg.expm(-1j * t * h)
+        a_t = u.conj().T @ a @ u
+        out.append(np.linalg.norm(a_t @ b - b @ a_t, 2))
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["path", "ring"]),
+    n=st.integers(3, 6),
+    model_kind=st.sampled_from(["hopping", "two_body", "odd"]),
+    probe=st.sampled_from(PROBE_KINDS),
+    sites=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    seed=st.integers(0, 2**16),
+    times=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4),
+)
+def test_sector_sweep_matches_dense_reference(kind, n, model_kind, probe, sites, seed, times):
+    ctx = build_context(build_lattice(kind, n))
+    h, sizes = sweep_hamiltonian(ctx, model_kind, seed)
+    a, b = sweep_probes(ctx, probe, sites[0] % n, sites[1] % n)
+    vals, info, (norm_a, norm_b) = commutator_norms(h, a, b, times)
+    scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    assert np.abs(vals - dense_commutator_norms(h, a, b, times)).max() <= 1e-12 * scale
+    assert norm_a * norm_b == pytest.approx(scale, rel=1e-12)
+    if ctx.dim < 32 or probe == "mixed":
+        sizes = [ctx.dim]
+    elif probe == "majorana/ladder" and model_kind == "hopping":
+        sizes = [ctx.dim // 2] * 2  # parity, the finest charge both probes keep
+    assert info["sectors"] == sizes
+
+
+def test_sweep_records_the_sectors_it_ran_on():
+    ctx = build_context(build_lattice("path", 6))
+    a, b = number_operator(ctx, [0]), ladder(ctx, 5)
+    times = np.linspace(0.0, 0.3, 5)
+    hopping = lr_sweep(hop_model(ctx), a, b, times)
+    assert hopping.info["sectors"] == [1, 6, 15, 20, 15, 6, 1]
+    h = assemble(random_two_body(ctx, np.random.default_rng(3), alpha_tb=3.0, strength=0.4))
+    two_body = lr_sweep(lambda t: h, a, b, times)
+    assert two_body.info["route"] == "eigh"
+    assert two_body.info["sectors"] == [32, 32]
+
+
+@pytest.mark.parametrize(
+    "a_blocks, b_blocks, sizes",
+    [
+        # (target, source) number sectors of the nonzero blocks.  By
+        # particle number, sources 0 and 2 of [A_t, B] would both feed
+        # sector 2; by parity A and B swap the two sectors, which is exact
+        ([(2, 1), (3, 2)], [(1, 0), (2, 3)], [32, 32]),
+        # by particle number, source 0 would feed sectors 3 and 4; by
+        # parity B maps both sectors into the even one
+        ([(1, 0), (3, 2)], [(2, 0), (4, 1)], [64]),
+    ],
+)
+def test_sector_sweep_rejects_block_maps_that_break_exactness(a_blocks, b_blocks, sizes):
+    ctx = build_context(build_lattice("path", 6))
+    rng = np.random.default_rng(21)
+    index = [np.flatnonzero(np.bitwise_count(np.arange(ctx.dim)) == k) for k in range(7)]
+
+    def scatter(blocks):
+        m = np.zeros((ctx.dim, ctx.dim), dtype=np.complex128)
+        for target, source in blocks:
+            shape = (index[target].size, index[source].size)
+            m[np.ix_(index[target], index[source])] = rng.standard_normal(shape)
+        return m
+
+    h = hop_model(ctx).hamiltonian(0.0)
+    a, b = scatter(a_blocks), scatter(b_blocks)
+    times = [0.0, 0.4, 1.1]
+    vals, info, _ = commutator_norms(h, a, b, times)
+    scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    assert np.abs(vals - dense_commutator_norms(h, a, b, times)).max() <= 1e-12 * scale
+    assert info["sectors"] == sizes

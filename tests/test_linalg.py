@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lrlab.linalg import expm_hermitian, op_norm
+from lrlab.linalg import expm_hermitian, is_hermitian, op_norm
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lrlab"
 
@@ -40,3 +40,17 @@ def test_no_scipy_linalg_in_the_package():
         path.name for path in sorted(SRC.rglob("*.py")) if pattern.search(path.read_text())
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("shape", [(8, 56), (56, 8), (1, 3)])
+def test_op_norm_of_a_rectangular_block(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = scipy.linalg.svdvals(a).max()
+    assert abs(op_norm(a) - want) <= 1e-12 * want
+
+
+def test_rectangular_matrix_is_not_hermitian():
+    assert not is_hermitian(np.zeros((2, 3)))
+    assert not is_hermitian(np.ones((3, 1)))
+    assert is_hermitian(np.eye(3))

@@ -233,3 +233,11 @@ def test_context_and_input_validation():
         telescoping_terms(ctx, (1, 1), np.eye(ctx.dim))
     with pytest.raises(ValueError, match="exceed the lattice dimension"):
         spin_bound_params(g, {(0, 1): 1.0}, alpha=1.0)
+
+
+def test_obstruction_probe_runs_per_number_sector():
+    demo = fermionic_obstruction_demo()
+    assert demo["commutator_norm"] == pytest.approx(2.0, abs=1e-12)
+    assert demo["sweep"]["route"] == "eigh"
+    assert demo["sweep"]["sectors"] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+    assert demo["sweep"]["unitarity"] <= 1e-10
