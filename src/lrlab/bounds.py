@@ -27,17 +27,17 @@ The iteration requires the split radius to stay strictly above 1; radii
 r^sigma <= 1 fall back to the finite-range value, which the trivial cap
 absorbs at small r anyway.
 
-``CURVE_FAMILIES`` is the one list of families: per family it holds the
-parameter names with their types and defaults, the admissibility check
-and the builder.  ``curve`` builds through it and ``curve_problems``
-checks a spec against it without computing anything, so the config
-validator and the runner cannot disagree about a family.
+``CURVE_FAMILIES`` is the one list of families: per family an ``Entry``
+holding the parameter names with their types and defaults, the
+admissibility check, the builder and whether its curve is certified.
+``curve`` builds through it and ``curve_problems`` checks a spec against
+it without computing anything, so the config validator and the runner
+cannot disagree about a family.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +50,7 @@ from .interactions import (
     time_sup_norm,
 )
 from .lattice import LatticeGraph, certify_growth, f_alpha_norm
+from .registry import Entry, lookup, registry
 
 __all__ = [
     "BoundParams",
@@ -66,7 +67,6 @@ __all__ = [
     "stretched_light_cone_bound",
     "BoundIteration",
     "iterate_bound",
-    "CurveFamily",
     "CURVE_FAMILIES",
     "curve",
     "curve_problems",
@@ -581,26 +581,7 @@ def iterate_bound(
 DIAMETER = "the lattice diameter"  # a default resolved against the graph
 
 
-@dataclass(frozen=True)
-class CurveFamily:
-    """``params`` maps each name to (type, default), a None default marking
-    a required value.  ``check(values, alpha, dim, distance)`` yields why
-    the values as given (None: missing, or the graph is unknown) cannot be
-    evaluated down to r = ``distance`` (None: unknown).  ``build(p, graph,
-    values, extra)`` gets typed values plus the other options of ``curve``.
-    """
-
-    name: str
-    params: dict
-    check: Callable
-    build: Callable
-
-    def resolve(self, opt: dict, graph: LatticeGraph | None = None) -> dict:
-        diam = None if graph is None else graph.diameter()
-        return {k: opt.get(k, diam if d == DIAMETER else d) for k, (_, d) in self.params.items()}
-
-
-def _closed_form(name: str, params: dict, check, bound, label: str) -> CurveFamily:
+def _closed_form(name: str, params: dict, check, bound, label: str, **traits) -> Entry:
     """A family evaluated by ``bound(p, r, dt, **values)``, labelled ``name(label)``."""
 
     def build(p, graph, values, extra):
@@ -610,33 +591,33 @@ def _closed_form(name: str, params: dict, check, bound, label: str) -> CurveFami
             {**values, "params": p},
         )
 
-    return CurveFamily(name, params, check, build)
+    return Entry(name, params, check, build, "family", traits)
 
 
 def _range_check(v, alpha, dim, distance):
     if v["max_range"] is not None and float(v["max_range"]) < 1:
-        yield f"max_range must be at least 1 (default: {DIAMETER}), got {v['max_range']}"
+        yield "max_range", f"max_range must be at least 1 (default: {DIAMETER}), got {v['max_range']}"
 
 
 def _tight_check(v, alpha, dim, distance):
     yield from _range_check(v, alpha, dim, distance)
     if distance is not None and distance < 1:
-        yield f"needs disjoint supports (r >= 1), evaluated at r = {distance:g}"
+        yield None, f"needs disjoint supports (r >= 1), evaluated at r = {distance:g}"
 
 
 def _split_check(v, alpha, dim, distance):
     if v["split_range"] is None or float(v["split_range"]) <= 0:
-        yield "needs a positive split_range"
+        yield "split_range", "needs a positive split_range"
     elif float(v["split_range"]) < 1:
-        yield f"split_range must be at least 1, got {v['split_range']}"
+        yield "split_range", f"split_range must be at least 1, got {v['split_range']}"
 
 
 def _sigma_check(v, alpha, dim, distance):
     lo = (dim + 1.0) / (alpha + 1.0)
     if v["sigma"] is None:
-        yield "needs a sigma"
+        yield "sigma", "needs a sigma"
     elif not lo < float(v["sigma"]) < 1.0:
-        yield (
+        yield "sigma", (
             f"sigma {v['sigma']} outside the admissible interval ({lo:.6g}, 1) set by"
             f" (D+1)/(alpha+1) with D={dim}, alpha={alpha:g}"
         )
@@ -645,14 +626,14 @@ def _sigma_check(v, alpha, dim, distance):
 def _stretched_check(v, alpha, dim, distance):
     yield from _sigma_check(v, alpha, dim, distance)
     if v["constant"] is None:
-        yield "needs a constant"
+        yield "constant", "needs a constant"
     elif float(v["constant"]) <= 0:
-        yield f"constant must be positive, got {v['constant']}"
+        yield "constant", f"constant must be positive, got {v['constant']}"
 
 
 def _depth_check(v, alpha, dim, distance):
     if int(v["depth"]) < 1:
-        yield "depth must be at least 1"
+        yield "depth", "depth must be at least 1"
 
 
 def _iterated(p, graph, values, extra):
@@ -662,50 +643,49 @@ def _iterated(p, graph, values, extra):
 
 
 _RANGE, _R = {"max_range": (float, DIAMETER)}, "R={max_range:g}"
-CURVE_FAMILIES = {
-    fam.name: fam
-    for fam in (
-        _closed_form("finite_range", _RANGE, _range_check, finite_range_bound, _R),
-        _closed_form("finite_range_tight", _RANGE, _tight_check, finite_range_tight_bound, _R),
-        _closed_form(
-            "split_range", {"split_range": (float, None)}, _split_check, split_range_bound,
-            "R'={split_range:g}",
-        ),
-        _closed_form(
-            "power_split", {"sigma": (float, None)}, _sigma_check, power_split_bound,
-            "sigma={sigma:g}",
-        ),
-        _closed_form(
-            "stretched", {"sigma": (float, None), "constant": (float, None)}, _stretched_check,
-            stretched_light_cone_bound, "sigma={sigma:g}",
-        ),
-        CurveFamily("iterated", {"depth": (int, 2)}, _depth_check, _iterated),
-    )
-}
+CURVE_FAMILIES = registry(
+    _closed_form("finite_range", _RANGE, _range_check, finite_range_bound, _R),
+    _closed_form("finite_range_tight", _RANGE, _tight_check, finite_range_tight_bound, _R),
+    _closed_form(
+        "split_range", {"split_range": (float, None)}, _split_check, split_range_bound,
+        "R'={split_range:g}",
+    ),
+    _closed_form(
+        "power_split", {"sigma": (float, None)}, _sigma_check, power_split_bound,
+        "sigma={sigma:g}",
+    ),
+    # its constant is the caller's, not a proven one
+    _closed_form(
+        "stretched", {"sigma": (float, None), "constant": (float, None)}, _stretched_check,
+        stretched_light_cone_bound, "sigma={sigma:g}", certified=False,
+    ),
+    Entry("iterated", {"depth": (int, 2)}, _depth_check, _iterated, "family"),
+)
+
+
+def _given(fam: Entry, opt: dict, graph: LatticeGraph | None) -> dict:
+    """``opt`` over the lattice diameter (None: no graph) for the parameters
+    that default to it."""
+    diam = None if graph is None else graph.diameter()
+    return {**{k: diam for k, (_, d) in fam.params.items() if d == DIAMETER}, **opt}
 
 
 def curve(p: BoundParams, family: str, graph: LatticeGraph | None = None, **opt) -> BoundCurve:
     """Build a registered family; missing parameters take their defaults,
     and options outside the registry reach ``iterate_bound`` only."""
-    fam = CURVE_FAMILIES.get(family)
-    if fam is None:
-        raise ValueError(f"unknown curve family {family!r}")
-    values = {}
-    for key, value in fam.resolve(opt, graph).items():
-        if value is None:
-            raise ValueError(f"the {family} family needs {key}")
-        values[key] = fam.params[key][0](value)
+    fam = lookup(CURVE_FAMILIES, family, "curve family")
     extra = {k: v for k, v in opt.items() if k not in fam.params}
-    return fam.build(p, graph, values, extra)
+    return fam.build(p, graph, fam.values(_given(fam, opt, graph)), extra)
 
 
 def curve_problems(family, opt: dict, alpha, dim, graph=None, distance=None) -> list:
     """Why ``curve(p, family, graph, **opt)`` would fail or raise when
     evaluated down to r = ``distance``; computes nothing."""
-    fam = CURVE_FAMILIES.get(family)
-    if fam is None:
-        return [f"unknown curve family {family!r}"]
-    return list(fam.check(fam.resolve(opt, graph), alpha, dim, distance))
+    try:
+        fam = lookup(CURVE_FAMILIES, family, "curve family")
+    except ValueError as err:
+        return [str(err)]
+    return [reason for _, reason in fam.problems(_given(fam, opt, graph), alpha, dim, distance)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ and seed give byte-identical files: reductions happen in grid order and
 nothing timestamps the output.  The ``threads`` setting is validated and
 accepted but runs are serial, so it cannot change a result.
 
-Validation computes nothing.  Each spec is read and checked through the
-registry its runner builds from: curves through ``bounds.CURVE_FAMILIES``,
-models (``model`` and spectral-flow's ``hopping``) through
-``interactions.MODELS`` and lr-verify observables through ``OBSERVABLES``.
-So a spec that validates is one the runner can build and evaluate at
-every distance the experiment uses.
+Validation computes nothing.  Each section is read and checked through
+the declaration its runner builds from: a ``registry.Entry`` (lattice,
+model, curve, chain, spin, weight and generator) or, for lr-verify
+observables, ``OBSERVABLES``.  So a spec that validates is one the runner
+can build and evaluate at every distance the experiment uses, and every
+default is read from the declaration that holds it.
 """
 
 from __future__ import annotations
@@ -40,22 +40,17 @@ import yaml
 from . import __version__
 from .bounds import CURVE_FAMILIES, BoundParams, certify, curve, curve_problems
 from .dynamics import lr_sweep
-from .flow import (
-    automorphic_deviation,
-    build_weight_spectrum,
-    hastings_generator,
-    kato_generator,
-    sector_gap,
-)
-from .fock import DEFAULT_DIM_CAP, build_context, dim_cap, ladder, number_operator
+from .flow import GENERATORS, WEIGHT, automorphic_deviation, sector_gap
+from .fock import DEFAULT_DIM_CAP, build_context, cap_problem, ladder, number_operator
 from .interactions import MODELS, Model, assemble, hop_term, model
-from .lattice import build_lattice, set_distance
-from .lppl import lppl_measure, perturbed_atomic_chain
+from .lattice import LATTICES, build_lattice, set_distance
+from .lppl import CHAIN, LpplError, lppl_measure, perturbed_atomic_chain
+from .registry import lookup
 from .spin import (
+    SPIN,
+    SPIN_MODELS,
     commutator_series,
     fermionic_obstruction_demo,
-    ising_chain,
-    random_spin_chain,
     site_operator,
     spin_bound_params,
     spin_context,
@@ -127,11 +122,11 @@ def load_config(path: str) -> dict:
 # value shapes the runners read, per field; a tuple lists alternatives, a
 # dict a mapping's known keys and a one-element list a list's items
 _NUMBER, _INTEGER, _TEXT = "a number", "an integer", "a string"
-_TYPE_SHAPES = {float: _NUMBER, int: _INTEGER, float | list[float]: (_NUMBER, [_NUMBER])}
+_TYPE_SHAPES = {float: _NUMBER, int: _INTEGER, str: _TEXT, float | list[float]: (_NUMBER, [_NUMBER])}
 
 
 def _param_shapes(*kinds) -> dict:
-    """Shapes of the parameters of registry entries (curve families, models)."""
+    """Shapes of the parameters of registry entries."""
     return {key: _TYPE_SHAPES[typ] for kind in kinds for key, (typ, _) in kind.params.items()}
 
 
@@ -142,7 +137,7 @@ _OBSERVABLE = {
 # a config may name the models whose parameters are all numbers
 _CONFIG_MODELS = {n: k for n, k in MODELS.items() if all(t in _TYPE_SHAPES for t, _ in k.params.values())}
 _SHAPES = {
-    "lattice": {"kind": _TEXT, "n": _INTEGER},
+    "lattice": {"kind": _TEXT, **_param_shapes(*LATTICES.values())},
     "alpha": _NUMBER,
     "curves": [_CURVE],
     "model": {"name": _TEXT, **_param_shapes(*_CONFIG_MODELS.values())},
@@ -151,17 +146,11 @@ _SHAPES = {
     "slack": _NUMBER,
     "tolerance": _NUMBER,
     "fields": [_NUMBER],
-    "gap": {"g": _NUMBER, "delta": _NUMBER},
+    "gap": _param_shapes(WEIGHT),
     "generators": [_TEXT],
     "hopping": _param_shapes(MODELS["long_range_hopping"]),
-    "chain": {
-        "n": _INTEGER, "site": _INTEGER, "alpha_tb": _NUMBER, "hop": _NUMBER,
-        "base_field": _NUMBER, "field_step": _NUMBER, "strength": _NUMBER,
-    },
-    "spin": {
-        "local_dim": _INTEGER, "model": _TEXT, "strength": _NUMBER,
-        "field_strength": _NUMBER, "coupling": _NUMBER, "transverse": _NUMBER,
-    },
+    "chain": _param_shapes(CHAIN),
+    "spin": _param_shapes(SPIN, *SPIN_MODELS.values()),
     "base_curve": _CURVE,
 }
 
@@ -232,17 +221,8 @@ def shape_findings(cfg: dict) -> list:
 
 
 def _cap_findings(field: str, base: int, n: int) -> list:
-    cap = dim_cap()
-    # beyond cap.bit_length(), base^n >= 2^n > cap; huge n is never raised to
-    if n <= cap.bit_length():
-        if base**n <= cap:
-            return []
-        size = f"{base}^{n} = {base**n}"
-    else:
-        size = f"{base}^{n}"
-    return [
-        Finding(field, f"dimension cap exceeded: {size} > {cap} (override with LRLAB_DIM_CAP)")
-    ]
+    reason = cap_problem(base, n)
+    return [Finding(field, reason)] if reason else []
 
 
 def _grid_findings(field: str, spec, need_start_zero=False) -> list:
@@ -287,19 +267,28 @@ def _curve_findings(cfg, items, dim: int, graph, distance) -> list:
     ]
 
 
+def _entry_findings(field: str, entry, given: dict, *context) -> list:
+    return [Finding(f"{field}.{key}", reason) for key, reason in entry.problems(given, *context)]
+
+
+def _lookup_findings(field: str, entries: dict, name, what: str) -> tuple:
+    """(entry, findings): the entry ``name``, or None and why there is none."""
+    try:
+        return lookup(entries, name, what), []
+    except ValueError as err:
+        return None, [Finding(field, str(err))]
+
+
 def _lattice_findings(cfg, sites_per_state: int) -> tuple:
     """(findings, graph); the graph is built only when there are no findings."""
     lat = cfg.get("lattice")
     if not isinstance(lat, dict) or "kind" not in lat or "n" not in lat:
         return [Finding("lattice", "expected {kind, n}")], None
-    if lat["kind"] not in ("path", "ring", "square_patch", "square_torus"):
-        return [Finding("lattice.kind", f"unknown lattice family {lat['kind']!r}")], None
-    n = int(lat["n"])
-    if n < 1 or (lat["kind"] in ("ring", "square_torus") and n < 3):
-        return [Finding("lattice.n", "too few vertices for this family")], None
-    sites = n * n if lat["kind"] in ("square_patch", "square_torus") else n
-    out = _cap_findings("lattice.n", sites_per_state, sites)
-    return out, None if out else build_lattice(lat["kind"], n)
+    fam, out = _lookup_findings("lattice.kind", LATTICES, lat["kind"], "lattice family")
+    if fam is not None:
+        sites = int(lat["n"]) ** fam.traits["dim"]
+        out = _entry_findings("lattice", fam, lat) or _cap_findings("lattice.n", sites_per_state, sites)
+    return out, None if out else build_lattice(lat["kind"], lat["n"])
 
 
 def _distance(graph, x, y):
@@ -331,11 +320,13 @@ def _site_list(spec: dict):
 
 def _model_findings(field: str, name, spec: dict, dim: int, graph) -> list:
     """Findings on a model spec; ``graph`` is None when the lattice is unknown."""
-    kind = _CONFIG_MODELS.get(name)
-    if kind is None:
-        return [Finding(f"{field}.name", f"unknown model {name!r}")]
-    n_sites = None if graph is None else graph.n_sites
-    return [Finding(f"{field}.{key}", reason) for key, reason in kind.problems(spec, dim, n_sites)]
+    kind, out = _lookup_findings(f"{field}.name", _CONFIG_MODELS, name, "model")
+    return out or _entry_findings(field, kind, spec, dim, None if graph is None else graph.n_sites)
+
+
+def _generators(cfg) -> list:
+    """The spectral-flow generators a config runs: all of ``GENERATORS`` by default."""
+    return cfg.get("generators", list(GENERATORS))
 
 
 def validate_config(cfg: dict) -> list:
@@ -361,7 +352,8 @@ def validate_config(cfg: dict) -> list:
         out.append(Finding("threads", "must be a positive integer"))
 
     lat = cfg.get("lattice")
-    graph_dim = 2 if isinstance(lat, dict) and lat.get("kind") in ("square_patch", "square_torus") else 1
+    fam = LATTICES.get(lat.get("kind")) if isinstance(lat, dict) else None
+    graph_dim = 1 if fam is None else fam.traits["dim"]
 
     if kind in ("lr-verify", "bound-curves"):
         lattice_out, graph = _lattice_findings(cfg, 2)
@@ -411,55 +403,32 @@ def validate_config(cfg: dict) -> list:
         out += lattice_out
         if graph is not None and len(cfg.get("fields", [])) != graph.n_sites:
             out.append(Finding("fields", "need one on-site field per lattice site"))
-        gap = cfg.get("gap", {})
-        g = float(gap.get("g", 0.0))
-        delta = float(gap.get("delta", 0.0))
-        if g <= 0:
-            out.append(Finding("gap.g", "must be positive"))
-        if delta < 0:
-            out.append(Finding("gap.delta", "must be nonnegative"))
-        elif delta >= g > 0:
-            out.append(Finding("gap.delta", f"requires g > delta, got g={g:g} delta={delta:g}"))
+        out += _entry_findings("gap", WEIGHT, cfg.get("gap", {}))
         out += _grid_findings("s_grid", cfg.get("s_grid"))
-        for gen in cfg.get("generators", ["kato", "hastings"]):
-            if gen not in ("kato", "hastings"):
-                out.append(Finding("generators", f"unknown generator {gen!r}"))
+        for gen in _generators(cfg):
+            out += _lookup_findings("generators", GENERATORS, gen, "generator")[1]
         out += _model_findings("hopping", "long_range_hopping", cfg.get("hopping", {}), graph_dim, graph)
 
     if kind == "lppl":
         chain = cfg.get("chain", {})
-        n = int(chain.get("n", 8))
-        out += _cap_findings("chain.n", 2, n)
-        if float(chain.get("alpha_tb", 4.0)) <= 1.0:
-            out.append(Finding("chain.alpha_tb", "term decay must exceed the lattice dimension D=1"))
-        site = int(chain.get("site", 0))
-        strength = float(chain.get("strength", 0.5))
-        if not 0 <= site < n:
-            out.append(Finding("chain.site", "perturbed site must lie on the chain"))
-        elif strength > 0 and max(site, n - 1 - site) < 4:
-            far = max(site, n - 1 - site)
-            reason = "the tail fit needs sites at distances 2, 3 and 4 from the perturbed site"
-            out.append(Finding("chain.site", f"{reason}; the farthest is at distance {far}"))
-        step = float(chain.get("field_step", 1.0))
-        if strength < 0:
-            out.append(Finding("chain.strength", "must be nonnegative"))
-        elif strength >= 0.7 * step:
-            reason = "perturbation strength risks a level crossing in the window; keep it below"
-            out.append(Finding("chain.strength", f"{reason} 0.7 * field_step = {0.7 * step:g}"))
-        out += _grid_findings("s_grid", cfg.get("s_grid", {"start": 0, "stop": 1, "count": 5}))
+        out += _cap_findings("chain.n", 2, int(CHAIN.resolve(chain)["n"]))
+        out += _entry_findings("chain", CHAIN, chain, True)
+        if "s_grid" in cfg:  # else lppl_measure's default grid
+            out += _grid_findings("s_grid", cfg["s_grid"])
 
     if kind == "spin-compare":
         obs = cfg.get("observables", {})
         spin = cfg.get("spin", {})
-        local_dim = int(spin.get("local_dim", 2))
-        if local_dim < 2:
-            out.append(Finding("spin.local_dim", "must be at least 2"))
+        section = SPIN.resolve(spin)
+        local_dim = int(section["local_dim"])
+        out += _entry_findings("spin", SPIN, spin)
         lattice_out, graph = _lattice_findings(cfg, max(local_dim, 2))
         out += lattice_out
-        if spin.get("model", "random") not in ("random", "ising"):
-            out.append(Finding("spin.model", "must be 'random' or 'ising'"))
-        elif spin.get("model") == "ising" and local_dim > 2:
-            out.append(Finding("spin.local_dim", "the ising chain needs two-level sites"))
+        spin_model = SPIN_MODELS.get(section["model"])
+        if spin_model is None:
+            out.append(Finding("spin.model", f"must be {' or '.join(map(repr, SPIN_MODELS))}"))
+        else:
+            out += _entry_findings("spin", spin_model, spin, local_dim)
         items = [("base_curve", cfg.get("base_curve", _BASE_CURVE))]
         distance = _distance(graph, obs.get("x"), obs.get("y"))
         out += _curve_findings(cfg, items, graph_dim, graph, distance)
@@ -491,8 +460,10 @@ def _config_model(ctx, name: str, spec: dict, rng) -> Model:
     return model(name, ctx, rng=rng, **{k: spec[k] for k in MODELS[name].params if k in spec})
 
 
-def _certificate_summary(rep) -> dict:
-    return {
+def _certificate_summary(rep, uncertified=()) -> dict:
+    """The certificate's figures; ``uncertified`` lists the labels of its
+    curves that are no proven bound, recorded only when there are any."""
+    out = {
         "ok": bool(rep.ok),
         "violations": int(np.sum(rep.measured > np.min(np.stack(list(rep.bounds.values())), axis=0) + rep.slack)),
         "worst_margin": float(rep.worst_margin),
@@ -500,6 +471,9 @@ def _certificate_summary(rep) -> dict:
         "slack": float(rep.slack),
         "distance": int(rep.distance),
     }
+    if uncertified:
+        out["uncertified"] = list(uncertified)
+    return out
 
 
 def _sweep_summary(info: dict) -> dict:
@@ -527,14 +501,17 @@ def _run_lr_verify(cfg, rng):
     p = BoundParams.from_interaction(
         m.interaction, float(cfg["alpha"]), support_x=a.support, support_y=b.support
     )
-    curves = [curve(p, fam, g, **opt) for fam, opt in map(_curve_spec, cfg["curves"])]
+    specs = [_curve_spec(spec) for spec in cfg["curves"]]
+    curves = [curve(p, fam, g, **opt) for fam, opt in specs]
     rep = certify(series, curves, slack=float(cfg.get("slack", 1e-9)))
     rows = list(rep.rows())
     for row in rows:
         row["distance"] = rep.distance
+    traits = [CURVE_FAMILIES[fam].traits for fam, _ in specs]
+    uncertified = [c.label for c, t in zip(curves, traits) if not t.get("certified", True)]
     summary = {
         "experiment": "lr-verify",
-        "certificate": _certificate_summary(rep),
+        "certificate": _certificate_summary(rep, uncertified),
         "sweep": _sweep_summary(series.info),
     }
     constants = {"bound_params": _params_record(p), "curve_labels": [c.label for c in curves]}
@@ -573,15 +550,12 @@ def _run_spectral_flow(cfg, rng):
     def h_fn(s):
         return h_onsite + s * h_hop
 
-    gap_cfg = cfg["gap"]
-    w = build_weight_spectrum(float(gap_cfg["g"]), float(gap_cfg.get("delta", 0.0)))
+    weight = WEIGHT.values(cfg["gap"])
+    w = WEIGHT.build(weight)
     s_grid = _grid(cfg["s_grid"])
     reports = {}
-    for kind in cfg.get("generators", ["kato", "hastings"]):
-        if kind == "kato":
-            d_fn = lambda s: kato_generator(h_fn, s)  # noqa: E731
-        else:
-            d_fn = lambda s: hastings_generator(h_fn(s), h_hop, w)  # noqa: E731
+    for kind in _generators(cfg):
+        d_fn = GENERATORS[kind].build(h_fn, h_hop, w)
         reports[kind] = automorphic_deviation(h_fn, d_fn, s_grid=s_grid)
     gaps = [float(sector_gap(h_fn(float(s))).gap) for s in s_grid]
     rows = []
@@ -602,7 +576,7 @@ def _run_spectral_flow(cfg, rng):
         summary[f"defect_{kind}"] = float(rep["worst_defect"])
         summary[f"unitarity_{kind}"] = float(rep["worst_unitarity"])
     constants = {
-        "weight": {"gap": float(gap_cfg["g"]), "soft": float(gap_cfg.get("delta", 0.0))},
+        "weight": {"gap": weight["g"], "soft": weight["delta"]},
         "fields": fields,
         "hopping": {k: float(v) for k, v in hop.params.items()},
     }
@@ -611,12 +585,20 @@ def _run_spectral_flow(cfg, rng):
 
 def _run_lppl(cfg, rng):
     # the keys the chain sets, typed; perturbed_atomic_chain supplies the rest
-    shapes = _SHAPES["chain"]
-    chain = {k: (int if shapes[k] == _INTEGER else float)(v) for k, v in cfg.get("chain", {}).items()
-             if k in shapes}
+    given = cfg.get("chain", {})
+    chain = {k: v for k, v in CHAIN.values(given).items() if k in given}
     family, window = perturbed_atomic_chain(**chain)
-    s_spec = cfg.get("s_grid", {"start": 0.0, "stop": 1.0, "count": 5})
-    report = lppl_measure(family, window, s_grid=_grid(s_spec))
+    constants = {
+        "chain": chain,
+        "window": [float(window[0]), float(window[1])],
+    }
+    s_grid = _grid(cfg["s_grid"]) if "s_grid" in cfg else None
+    try:
+        report, measured = lppl_measure(family, window, s_grid=s_grid), True
+    except LpplError as err:  # the run fails with the reason, keeping what was measured
+        if err.report is None:
+            return [], {"experiment": "lppl", "findings": [str(err)], "ok": False}, constants
+        report, measured = err.report, False
     rows = [
         {
             "support": "+".join(str(z) for z in probe["support"]),
@@ -636,32 +618,19 @@ def _run_lppl(cfg, rng):
         "findings": list(report.findings),
         "x_region": list(report.x_region),
     }
-    constants = {
-        "chain": chain,
-        "window": [float(window[0]), float(window[1])],
-    }
+    if not measured:
+        summary["ok"] = False
     return rows, summary, constants
 
 
 def _run_spin_compare(cfg, rng):
     lat = cfg["lattice"]
     g = build_lattice(lat["kind"], lat["n"])
-    spin_cfg = dict(cfg.get("spin", {}))
-    ctx = spin_context(g, int(spin_cfg.get("local_dim", 2)))
-    if spin_cfg.get("model", "random") == "ising":
-        h, norms = ising_chain(
-            ctx,
-            coupling=float(spin_cfg.get("coupling", 1.0)),
-            transverse=float(spin_cfg.get("transverse", 0.7)),
-        )
-    else:
-        h, norms = random_spin_chain(
-            ctx,
-            rng,
-            alpha=float(cfg["alpha"]),
-            strength=float(spin_cfg.get("strength", 0.8)),
-            field_strength=float(spin_cfg.get("field_strength", 0.5)),
-        )
+    spin_cfg = cfg.get("spin", {})
+    section = SPIN.values(spin_cfg)
+    spin_model = SPIN_MODELS[section["model"]]
+    ctx = spin_context(g, section["local_dim"])
+    h, norms = spin_model.build(ctx, rng, float(cfg["alpha"]), spin_model.values(spin_cfg))
     x = tuple(int(z) for z in cfg["observables"]["x"])
     y = tuple(int(z) for z in cfg["observables"]["y"])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -753,8 +722,10 @@ def run_config(cfg: dict, out_dir: str, threads: int | None = None, seed: int | 
     """Validate, execute, and write the three result files.
 
     Returns (exit_status, file_paths); status 0 means every certified
-    check passed, 1 means a certificate failed, and a ConfigError is
-    raised when validation finds problems.
+    check passed, 1 means a certificate failed or an lppl measurement
+    could not be completed (its window or tail fit; the reason is among
+    the summary's findings), and a ConfigError is raised when validation
+    finds problems.
     """
     cfg = dict(cfg)
     if seed is not None:
@@ -881,7 +852,10 @@ def main(argv=None) -> int:
     for label, path in sorted(paths.items()):
         print(f"{label}: {path}")
     if status != 0:
-        print("certificate FAILED", file=sys.stderr)
+        with open(paths["summary"], encoding="utf-8") as fh:
+            findings = json.load(fh).get("findings")
+        for reason in findings or ["certificate FAILED"]:
+            print(reason, file=sys.stderr)
     return status
 
 

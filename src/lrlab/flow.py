@@ -54,11 +54,13 @@ from .fock import FockContext, LocalOperator, _charge_sectors, expectation_block
 from .interactions import Interaction
 from .lattice import fatten
 from .linalg import op_norm
+from .registry import Entry, registry
 
 __all__ = [
     "smooth_step",
     "WeightFunction",
     "build_weight_spectrum",
+    "WEIGHT",
     "GapReport",
     "sector_gap",
     "GapAnalysis",
@@ -69,6 +71,7 @@ __all__ = [
     "extract_interaction",
     "kato_generator",
     "hastings_generator",
+    "GENERATORS",
     "automorphic_deviation",
 ]
 
@@ -102,13 +105,9 @@ class WeightFunction:
     """
 
     def __init__(self, gap: float, soft: float = 0.0):
-        if gap <= 0:
-            raise ValueError("gap must be positive")
-        soft = float(soft)
-        if not 0.0 <= soft < gap:
-            raise ValueError("need gap > soft >= 0")
+        WEIGHT.require({"g": gap, "delta": soft})
         self.gap = float(gap)
-        self.soft = soft
+        self.soft = float(soft)
         # composite Gauss-Legendre on [soft, gap] for the
         # (1 - chi(omega)) sin(omega t)/omega part; 6 panels of 16 nodes keep
         # the oscillatory integrand resolved at large |t|
@@ -172,15 +171,28 @@ class WeightFunction:
         return 2j * np.tensordot(wt, np.sin(np.multiply.outer(ts, om)), axes=(0, 0))
 
 
-def build_weight_spectrum(
-    gap: float, soft: float = 0.0, shape: str = "mollifier"
-) -> WeightFunction:
+def build_weight_spectrum(gap: float, soft: float = 0.0) -> WeightFunction:
     """Weight for a family with spectral gap ``gap`` and annihilation
-    window ``[-soft, soft]``.  Only the infinitely flat mollified step is
-    implemented as the crossover shape."""
-    if shape != "mollifier":
-        raise ValueError(f"unknown crossover shape {shape!r}")
+    window ``[-soft, soft]``, crossing over by the mollified step."""
     return WeightFunction(gap, soft)
+
+
+def _weight_check(v):
+    g = 0.0 if v["g"] is None else float(v["g"])
+    delta = float(v["delta"])
+    if not g > 0:
+        yield "g", "must be positive"
+    if not delta >= 0:
+        yield "delta", "must be nonnegative"
+    elif g > 0 and not delta < g:
+        yield "delta", f"requires g > delta, got g={g:g} delta={delta:g}"
+
+
+# the spectral-flow config's ``gap``: the weight's gap g and soft edge delta
+WEIGHT = Entry(
+    "weight", {"g": (float, None), "delta": (float, 0.0)}, _weight_check,
+    lambda v: build_weight_spectrum(v["g"], v["delta"]),
+)
 
 
 @dataclass
@@ -485,6 +497,14 @@ def hastings_generator(h, h_prime, weight: WeightFunction) -> np.ndarray:
     """Quasi-local flow generator D = -J_{H(s)}(H'(s))."""
     out, _ = inverse_liouvillian(h, h_prime, weight)
     return -out
+
+
+# flow generators: build(h_fn, h_dot, weight) -> D(s) for H(s) = h_fn(s)
+# with derivative h_dot, the hastings one through ``weight``
+GENERATORS = registry(
+    Entry("kato", build=lambda h_fn, h_dot, weight: lambda s: kato_generator(h_fn, s)),
+    Entry("hastings", build=lambda h_fn, h_dot, weight: lambda s: hastings_generator(h_fn(s), h_dot, weight)),
+)
 
 
 def automorphic_deviation(

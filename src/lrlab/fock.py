@@ -50,6 +50,7 @@ __all__ = [
     "LocalOperator",
     "build_context",
     "dim_cap",
+    "cap_problem",
     "ladder",
     "number_operator",
     "parity_class",
@@ -69,6 +70,19 @@ SUPPORT_TOL = 1e-10
 def dim_cap() -> int:
     """Largest Hilbert-space dimension a context may have (LRLAB_DIM_CAP)."""
     return int(os.environ.get("LRLAB_DIM_CAP", DEFAULT_DIM_CAP))
+
+
+def cap_problem(base: int, n: int) -> str | None:
+    """Why a space of dimension base^n exceeds ``dim_cap``; None when it fits."""
+    cap = dim_cap()
+    # beyond cap.bit_length(), base^n >= 2^n > cap; huge n is never raised to
+    if n <= cap.bit_length():
+        if base**n <= cap:
+            return None
+        size = f"{base}^{n} = {base**n}"
+    else:
+        size = f"{base}^{n}"
+    return f"dimension cap exceeded: {size} > {cap} (override with LRLAB_DIM_CAP)"
 
 
 def _ladder_entries(n_modes: int, mode: int, dagger: bool):
@@ -350,14 +364,9 @@ def build_context(graph: LatticeGraph, spins: int = 1) -> FockContext:
     if spins < 1:
         raise ValueError("need at least one spin species per site")
     n_modes = spins * graph.n_sites
-    cap = dim_cap()
-    dim = 2**n_modes
-    if dim > cap:
-        raise ValueError(
-            f"Fock dimension 2^{n_modes} = {dim} exceeds the cap {cap}; "
-            "raise LRLAB_DIM_CAP to override"
-        )
-    return FockContext(graph, spins, n_modes, dim)
+    if reason := cap_problem(2, n_modes):
+        raise ValueError(f"Fock {reason}")
+    return FockContext(graph, spins, n_modes, 2**n_modes)
 
 
 def parity_class(ctx: FockContext, matrix: np.ndarray, tol: float = PARITY_TOL) -> str:

@@ -17,15 +17,14 @@ assembles H0 and H1 once and forms each H(t) by one axpy, a path whose
 phi1 holds no nonzero block is constant, and since the norm is convex
 along a segment its time supremum sits at an interval endpoint.
 
-``MODELS`` is the one list of the zoo: per model it holds the parameter
-names with their types and defaults, the admissibility check and the
-builder.  ``model`` builds through it and the config validator checks
-against it, so the two cannot disagree about a model.
+``MODELS`` is the one list of the zoo: per model an ``Entry`` holding
+the parameter names with their types and defaults, the admissibility
+check and the builder.  ``model`` builds through it and the config
+validator checks against it, so the two cannot disagree about a model.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from .fock import FockContext, LocalOperator, ladder, number_operator
 from .lattice import LatticeGraph, set_diameter, site_set
 from .linalg import is_hermitian
+from .registry import Entry, lookup, registry
 
 __all__ = [
     "Interaction",
@@ -44,7 +44,6 @@ __all__ = [
     "assemble",
     "lr_velocity",
     "MODELS",
-    "ModelKind",
     "model",
     "hop_term",
     "random_two_body",
@@ -181,17 +180,11 @@ def interaction_norm(phi: Interaction, alpha: float, weight: int = 0) -> float:
     return decay_norm(phi.ctx.graph, norms, alpha, weight)
 
 
-def time_sup_norm(
-    phi_t: TimeDependentInteraction,
-    alpha: float,
-    weight: int = 0,
-    grid_points: int = 101,
-) -> float:
+def time_sup_norm(phi_t: TimeDependentInteraction, alpha: float, weight: int = 0) -> float:
     """Supremum of the interaction norm over the interval.
 
     Exact from the two endpoints: every term norm is convex along the
     affine path, and so are their weighted sums and the sup over sites.
-    ``grid_points`` is accepted and has no effect.
     """
     return max(interaction_norm(phi_t.sample(t), alpha, weight) for t in phi_t.interval)
 
@@ -246,7 +239,7 @@ def _couplings(coupling):
     def build(ctx, v, rng):
         g, phi = ctx.graph, Interaction(ctx)
         for x, y in _pair_sites(g):
-            c = float(v["J"]) / (1.0 + g.distance(x, y)) ** float(v["alpha_tb"])
+            c = v["J"] / (1.0 + g.distance(x, y)) ** v["alpha_tb"]
             phi.add_term((x, y), c * coupling(ctx, x, y))
         return phi, None, {}
 
@@ -258,70 +251,49 @@ def _atomic_limit(ctx, v, rng):
     fields = [float(mu)] * g.n_sites if np.isscalar(mu) else [float(m) for m in mu]
     if len(fields) != g.n_sites:
         raise ValueError("one field per site required")
-    hops = _couplings(hop_term)(ctx, v, rng)[0] if float(v["J"]) != 0.0 else Interaction(ctx)
+    hops = _couplings(hop_term)(ctx, v, rng)[0] if v["J"] != 0.0 else Interaction(ctx)
     return hops, None, {z: fields[z] * number_operator(ctx, [z]) for z in g.vertices}
 
 
 def _random(ctx, v, rng):
     if rng is None:
         raise ValueError("the random_two_body model needs rng")
-    return random_two_body(ctx, rng, **{k: float(x) for k, x in v.items()}), None, {}
+    return random_two_body(ctx, rng, **v), None, {}
 
 
 def _admissible(v, dim, n_sites):
     """alpha_tb above the lattice dimension, and a list of fields mu one per site."""
-    if float(v["alpha_tb"]) <= dim:
+    if v["alpha_tb"] is not None and float(v["alpha_tb"]) <= dim:
         yield "alpha_tb", f"term decay must exceed the lattice dimension D={dim}"
     if "mu" in v and n_sites is not None and np.ndim(v["mu"]) and len(v["mu"]) != n_sites:
         yield "mu", f"need one field per lattice site, got {len(v['mu'])} for {n_sites} sites"
 
 
-@dataclass(frozen=True)
-class ModelKind:
-    """A zoo entry.  ``build(ctx, values, rng)`` returns the path's phi0 and
-    phi1 (None: constant) and the on-site terms.  ``check(values, dim,
-    n_sites)`` yields (parameter, reason) pairs for complete values that
-    cannot be built, or would not decay, on a lattice of dimension ``dim``
-    with ``n_sites`` sites (None: unknown)."""
-
-    name: str
-    params: dict  # name -> (type, default); a None default marks a required value
-    build: Callable
-    check: Callable = lambda values, dim, n_sites: ()
-
-    def resolve(self, params: dict) -> dict:
-        return {k: params.get(k, d) for k, (_, d) in self.params.items()}
-
-    def problems(self, params: dict, dim: int, n_sites: int | None = None) -> list:
-        """Why ``model`` would fail on ``params`` or build an interaction that
-        does not decay, as (parameter, reason) pairs; computes nothing."""
-        values = self.resolve(params)
-        missing = [(k, f"the {self.name} model needs {k}") for k, v in values.items() if v is None]
-        return missing or list(self.check(values, dim, n_sites))
-
-
+# the model zoo: build(ctx, values, rng) returns the path's phi0 and phi1
+# (None: constant) and the on-site terms; check(values, dim, n_sites) yields
+# (parameter, reason) pairs for values that cannot be built, or would not
+# decay, on a lattice of dimension dim with n_sites sites (None: unknown)
 _JA, _ONSITE = {"J": (float, None), "alpha_tb": (float, None)}, {"onsite": (dict, {})}
 _ATOMIC = {"mu": (float | list[float], None), "J": (float, 0.0), "alpha_tb": (float, 4.0)}
 _RANDOM = {"alpha_tb": (float, 3.0), "strength": (float, 1.0), "pair_fraction": (float, 1.0)}
 _DENSITY = lambda ctx, x, y: number_operator(ctx, [x]) @ number_operator(ctx, [y])  # noqa: E731
-MODELS = {
-    kind.name: kind
-    for kind in (
-        ModelKind("zero", {}, lambda ctx, v, rng: (Interaction(ctx), None, {})),
-        ModelKind("long_range_hopping", _JA, _couplings(hop_term), _admissible),
-        ModelKind("long_range_density", _JA, _couplings(_DENSITY), _admissible),
-        ModelKind("atomic_limit", _ATOMIC, _atomic_limit, _admissible),
-        ModelKind("random_two_body", _RANDOM, _random, _admissible),
-        ModelKind(
-            "interpolation", {"phi_a": (Interaction, None), "phi_b": (Interaction, None), **_ONSITE},
-            lambda ctx, v, rng: (v["phi_a"], v["phi_b"] + v["phi_a"].scale(-1.0), dict(v["onsite"])),
-        ),
-        ModelKind(
-            "local_perturbation", {"phi": (Interaction, None), "w": (LocalOperator, None), **_ONSITE},
-            lambda ctx, v, rng: (v["phi"], Interaction(ctx, {v["w"].support: v["w"]}), dict(v["onsite"])),
-        ),
-    )
-}
+MODELS = registry(
+    Entry("zero", {}, build=lambda ctx, v, rng: (Interaction(ctx), None, {}), noun="model"),
+    Entry("long_range_hopping", _JA, _admissible, _couplings(hop_term), "model"),
+    Entry("long_range_density", _JA, _admissible, _couplings(_DENSITY), "model"),
+    Entry("atomic_limit", _ATOMIC, _admissible, _atomic_limit, "model"),
+    Entry("random_two_body", _RANDOM, _admissible, _random, "model"),
+    Entry(
+        "interpolation", {"phi_a": (Interaction, None), "phi_b": (Interaction, None), **_ONSITE},
+        build=lambda ctx, v, rng: (v["phi_a"], v["phi_b"] + v["phi_a"].scale(-1.0), dict(v["onsite"])),
+        noun="model",
+    ),
+    Entry(
+        "local_perturbation", {"phi": (Interaction, None), "w": (LocalOperator, None), **_ONSITE},
+        build=lambda ctx, v, rng: (v["phi"], Interaction(ctx, {v["w"].support: v["w"]}), dict(v["onsite"])),
+        noun="model",
+    ),
+)
 
 
 def model(name: str, ctx: FockContext, **params) -> Model:
@@ -330,13 +302,8 @@ def model(name: str, ctx: FockContext, **params) -> Model:
     ``rng`` reaches the random model only, and keywords a model does not
     take are ignored.
     """
-    kind = MODELS.get(name)
-    if kind is None:
-        raise ValueError(f"unknown model {name!r}")
-    values = kind.resolve(params)
-    missing = [k for k, v in values.items() if v is None]
-    if missing:
-        raise ValueError(f"the {name} model needs {missing[0]}")
+    kind = lookup(MODELS, name, "model")
+    values = kind.values(params)
     phi0, phi1, onsite = kind.build(ctx, values, params.get("rng"))
     return Model(name, ctx, TimeDependentInteraction(phi0, phi1), onsite, values)
 

@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .registry import Entry, lookup, registry
+
 __all__ = [
     "LatticeGraph",
     "GrowthCertificate",
+    "LATTICES",
     "build_lattice",
     "certify_growth",
     "fatten",
@@ -85,47 +88,51 @@ class GrowthCertificate:
     volume_witness: tuple = field(default=(0, 0))
 
 
+def _grid(periodic: bool):
+    """Builder of the graph on an integer grid of the given extents, the
+    distance summed over axes and wrapped around on a periodic one."""
+
+    def build(family, extents):
+        axes = [a.ravel() for a in np.meshgrid(*(np.arange(n) for n in extents), indexing="ij")]
+        dist = np.zeros((axes[0].size,) * 2, dtype=np.int64)
+        for coord, n in zip(axes, extents):
+            gap = np.abs(coord[:, None] - coord[None, :])
+            dist += np.minimum(gap, n - gap) if periodic else gap
+        labels = tuple(zip(*(a.tolist() for a in axes))) if len(extents) > 1 else ()
+        return LatticeGraph(family, axes[0].size, len(extents), dist, labels)
+
+    return build
+
+
+def _extent_at_least(least: int):
+    def check(v):
+        if int(v["n"]) < least:
+            yield "n", "too few vertices for this family"
+
+    return check
+
+
+# the lattice families; ``n`` is the extent of every axis, so a family of
+# dimension D has n**D sites, and build(family, extents) -> LatticeGraph
+_N = {"n": (int, None)}
+LATTICES = registry(
+    Entry("path", _N, _extent_at_least(1), _grid(False), "lattice family", {"dim": 1}),
+    Entry("ring", _N, _extent_at_least(3), _grid(True), "lattice family", {"dim": 1}),
+    Entry("square_patch", _N, _extent_at_least(1), _grid(False), "lattice family", {"dim": 2}),
+    Entry("square_torus", _N, _extent_at_least(3), _grid(True), "lattice family", {"dim": 2}),
+)
+
+
 def build_lattice(family: str, size) -> LatticeGraph:
-    """Construct one of the supported finite graph families.
+    """Construct one of the ``LATTICES`` families: the open ``path`` and
+    ``square_patch`` and the periodic ``ring`` and ``square_torus``.
 
-    family:
-        "path"         -- open chain of ``size`` vertices, dim 1
-        "ring"         -- cycle of ``size`` vertices, dim 1
-        "square_patch" -- open (w x h) patch, ``size`` = int or (w, h), dim 2
-        "square_torus" -- periodic (w x h) grid, ``size`` = int or (w, h), dim 2
+    ``size`` is the extent of every axis, or for the square families a
+    (w, h) pair of extents.
     """
-    if family in ("path", "ring"):
-        n = int(size)
-        if n < 1:
-            raise ValueError("need at least one vertex")
-        if family == "ring" and n < 3:
-            raise ValueError("a ring needs at least 3 vertices")
-        idx = np.arange(n)
-        gap = np.abs(idx[:, None] - idx[None, :])
-        dist = np.minimum(gap, n - gap) if family == "ring" else gap
-        return LatticeGraph(family, n, 1, dist.astype(np.int64))
-
-    if family in ("square_patch", "square_torus"):
-        if np.isscalar(size):
-            w = h = int(size)
-        else:
-            w, h = (int(s) for s in size)
-        if w < 1 or h < 1:
-            raise ValueError("need at least one vertex")
-        if family == "square_torus" and (w < 3 or h < 3):
-            raise ValueError("a torus needs extent >= 3 in both directions")
-        xs, ys = np.meshgrid(np.arange(w), np.arange(h), indexing="ij")
-        xs, ys = xs.ravel(), ys.ravel()
-        dx = np.abs(xs[:, None] - xs[None, :])
-        dy = np.abs(ys[:, None] - ys[None, :])
-        if family == "square_torus":
-            dx = np.minimum(dx, w - dx)
-            dy = np.minimum(dy, h - dy)
-        dist = (dx + dy).astype(np.int64)
-        labels = tuple(zip(xs.tolist(), ys.tolist()))
-        return LatticeGraph(family, w * h, 2, dist, labels)
-
-    raise ValueError(f"unknown lattice family {family!r}")
+    fam = lookup(LATTICES, family, "lattice family")
+    extents = [fam.require({"n": n})["n"] for n in np.broadcast_to(size, fam.traits["dim"])]
+    return fam.build(family, extents)
 
 
 def certify_growth(g: LatticeGraph) -> GrowthCertificate:

@@ -18,19 +18,32 @@ import numpy as np
 
 from .flow import WeightFunction, gap_analysis, hastings_generator
 from .fock import LocalOperator, conditional_expectation, number_operator, build_context
-from .interactions import Interaction, Model, model
+from .interactions import MODELS, Interaction, Model, model
 from .lattice import build_lattice, set_distance, site_set
 from .linalg import is_hermitian, op_norm
+from .registry import Entry
 
 __all__ = [
     "perturbed_family",
+    "CHAIN",
     "perturbed_atomic_chain",
     "localized_generator",
     "LpplReport",
+    "LpplError",
     "lppl_measure",
 ]
 
 FIT_FLOOR = 1e-13
+
+
+class LpplError(ValueError):
+    """The measurement could not be completed.  ``report`` holds the
+    measured differences, with the reason among its findings, when only
+    the tail fit failed, and is None when the window did."""
+
+    def __init__(self, reason: str, report: "LpplReport | None" = None):
+        super().__init__(reason)
+        self.report = report
 
 
 def _trace_product(p: np.ndarray, a: np.ndarray) -> complex:
@@ -55,30 +68,51 @@ def perturbed_family(phi: Interaction, w: LocalOperator, onsite: dict | None = N
     return model("local_perturbation", phi.ctx, phi=phi, w=w, onsite=onsite or {})
 
 
-def perturbed_atomic_chain(
-    n: int = 8,
-    alpha_tb: float = 4.0,
-    hop: float = 0.5,
-    base_field: float = 4.0,
-    field_step: float = 1.0,
-    strength: float = 0.5,
-    site: int = 0,
-):
+def _chain_check(v, fitted: bool):
+    """The chain's rules; ``fitted``: its response gets a tail fit."""
+    n, site, strength, step = int(v["n"]), int(v["site"]), float(v["strength"]), float(v["field_step"])
+    yield from MODELS["atomic_limit"].check({"alpha_tb": v["alpha_tb"]}, 1, None)  # on a path
+    far = max(site, n - 1 - site)
+    if not 0 <= site < n:
+        yield "site", "perturbed site must lie on the chain"
+    elif fitted and strength > 0 and far < 4:
+        reason = "the tail fit needs sites at distances 2, 3 and 4 from the perturbed site"
+        yield "site", f"{reason}; the farthest is at distance {far}"
+    if strength < 0:
+        yield "strength", "must be nonnegative"
+    elif strength >= 0.7 * step:
+        reason = "perturbation strength risks a level crossing in the window; keep it below"
+        yield "strength", f"{reason} 0.7 * field_step = {0.7 * step:g}"
+
+
+# the chain of ``perturbed_atomic_chain``, the lppl config's ``chain``
+CHAIN = Entry(
+    "chain",
+    {
+        "n": (int, 8), "site": (int, 0), "alpha_tb": (float, 4.0), "hop": (float, 0.5),
+        "base_field": (float, 4.0), "field_step": (float, 1.0), "strength": (float, 0.5),
+    },
+    _chain_check,
+)
+
+
+def perturbed_atomic_chain(**chain):
     """Staggered-field chain with long-range hopping, perturbed at one site.
 
+    ``chain`` takes the parameters of ``CHAIN``, each defaulting there.
     Returns (family, window).  The site fields grow linearly away from the
     perturbed site, so the energy window isolates the single orbital
     anchored there; the window tracks it for every s in [0, 1].
     """
-    if strength >= 0.7 * field_step:
-        raise ValueError("perturbation strength risks a level crossing in the window")
-    g = build_lattice("path", n)
+    v = CHAIN.require(chain, False)
+    site, base_field, step, strength = v["site"], v["base_field"], v["field_step"], v["strength"]
+    g = build_lattice("path", v["n"])
     ctx = build_context(g)
-    mu = [base_field + field_step * g.distance(site, z) for z in g.vertices]
-    base = model("atomic_limit", ctx, mu=mu, J=hop, alpha_tb=alpha_tb)
+    mu = [base_field + step * g.distance(site, z) for z in g.vertices]
+    base = model("atomic_limit", ctx, mu=mu, J=v["hop"], alpha_tb=v["alpha_tb"])
     w = strength * number_operator(ctx, [site])
     family = perturbed_family(base.interaction.sample(0.0), w, onsite=base.onsite)
-    window = (base_field - 0.8 * field_step, base_field + strength + 0.25 * field_step)
+    window = (base_field - 0.8 * step, base_field + strength + 0.25 * step)
     return family, window
 
 
@@ -129,11 +163,12 @@ def lppl_measure(
     perturbation, with a power-law fit of the tail.
 
     The window must select a cluster of constant rank along the whole
-    path.  The fit regresses log |difference| on log(1 + d) over the
-    distances d >= 2 whose differences exceed ``FIT_FLOOR``; fewer than 3
-    usable distances is an error unless every difference is at the floor
-    (nothing moved, nothing to fit).  A non-monotone tail is reported as a
-    finding, not an error.
+    path; a window that does not separate or changes rank raises
+    ``LpplError``.  The fit regresses log |difference| on log(1 + d) over
+    the distances d >= 2 whose differences exceed ``FIT_FLOOR``; fewer than
+    3 usable distances raise ``LpplError`` with the measured report unless
+    every difference is at the floor (nothing moved, nothing to fit).  A
+    non-monotone tail is reported as a finding, not an error.
     """
     ctx = family.ctx
     g = ctx.graph
@@ -146,14 +181,17 @@ def lppl_measure(
     s_grid = np.linspace(0.0, 1.0, 5) if s_grid is None else np.asarray(s_grid, float)
     gaps, ranks = [], set()
     for k, s in enumerate(s_grid):  # keeps only the end projectors, the ones read below
-        rep = gap_analysis(family.hamiltonian(float(s)), f_minus, f_plus)
+        try:
+            rep = gap_analysis(family.hamiltonian(float(s)), f_minus, f_plus)
+        except ValueError as err:  # the window does not separate the spectrum
+            raise LpplError(f"{err} at s = {s:g}") from err
         gaps.append(rep.gap)
         ranks.add(rep.rank)
         if k == 0:
             p0 = rep.projector
     p1 = rep.projector
     if len(ranks) != 1:
-        raise ValueError(f"window rank changes along the path: {sorted(ranks)}")
+        raise LpplError(f"window rank changes along the path: {sorted(ranks)}")
     (rank,) = ranks
 
     if probes is None:
@@ -183,13 +221,14 @@ def lppl_measure(
 
     tail = distances >= 2
     usable = tail & (envelope > FIT_FLOOR)
-    slope = intercept = residual = None
+    slope = intercept = residual = unfit = None
     fit_d = distances[usable]
     tail_monotone = bool(np.all(np.diff(envelope[tail]) <= 1e-15)) if tail.any() else True
     if envelope.size == 0 or envelope.max() <= FIT_FLOOR:
         findings.append("all differences at the numerical floor; nothing to fit")
     elif int(usable.sum()) < 3:
-        raise ValueError("fewer than 3 usable distances for the tail fit")
+        unfit = "fewer than 3 usable distances for the tail fit"
+        findings.append(unfit)
     else:
         xs = np.log1p(fit_d.astype(float))
         ys = np.log(envelope[usable])
@@ -200,7 +239,7 @@ def lppl_measure(
         if not tail_monotone:
             findings.append("tail envelope is not monotone; the fit may be unstable")
 
-    return LpplReport(
+    report = LpplReport(
         x_region=x_region,
         s_grid=s_grid,
         gaps=np.array(gaps),
@@ -215,3 +254,6 @@ def lppl_measure(
         tail_monotone=tail_monotone,
         findings=tuple(findings),
     )
+    if unfit:
+        raise LpplError(unfit, report)
+    return report

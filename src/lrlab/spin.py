@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import BoundCurve, BoundParams, curve, delta_cap
 from .dynamics import CommutatorSeries, commutator_norms
-from .fock import build_context, dim_cap, ladder, number_operator
+from .fock import build_context, cap_problem, ladder, number_operator
 from .interactions import decay_norm, model
 from .lattice import (
     LatticeGraph,
@@ -28,6 +28,7 @@ from .lattice import (
     site_set,
 )
 from .linalg import op_norm
+from .registry import Entry, registry
 
 __all__ = [
     "SpinContext",
@@ -38,6 +39,8 @@ __all__ = [
     "telescoping_terms",
     "telescoping_localization",
     "spin_bound_params",
+    "SPIN",
+    "SPIN_MODELS",
     "random_spin_chain",
     "ising_chain",
     "commutator_series",
@@ -59,14 +62,20 @@ class SpinContext:
         return self.graph.n_sites
 
 
+def _levels_check(v):
+    if int(v["local_dim"]) < 2:
+        yield "local_dim", "must be at least 2"
+
+
+# the spin-compare config's ``spin`` section; ``model`` names a SPIN_MODELS entry
+SPIN = Entry("spin", {"local_dim": (int, 2), "model": (str, "random")}, _levels_check)
+
+
 def spin_context(graph: LatticeGraph, local_dim: int = 2) -> SpinContext:
-    if local_dim < 2:
-        raise ValueError("local dimension must be at least 2")
-    dim = local_dim**graph.n_sites
-    cap = dim_cap()
-    if dim > cap:
-        raise ValueError(f"spin dimension {dim} exceeds the cap {cap}")
-    return SpinContext(graph=graph, local_dim=local_dim, dim=dim)
+    SPIN.require({"local_dim": local_dim})
+    if reason := cap_problem(local_dim, graph.n_sites):
+        raise ValueError(f"spin {reason}")
+    return SpinContext(graph=graph, local_dim=local_dim, dim=local_dim**graph.n_sites)
 
 
 def site_operator(ctx: SpinContext, site: int, m) -> np.ndarray:
@@ -191,19 +200,16 @@ def _unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return m / op_norm(m)
 
 
-def random_spin_chain(
-    ctx: SpinContext,
-    rng: np.random.Generator,
-    alpha: float,
-    strength: float = 1.0,
-    field_strength: float = 0.5,
-):
+def random_spin_chain(ctx: SpinContext, rng: np.random.Generator, alpha: float, **params):
     """Random two-site couplings with (1+d)^(-alpha) norms plus site fields.
 
-    Returns (hamiltonian, term_norms): every kept pair carries a random
-    two-factor hermitian of exactly the target norm, so the decay norms
-    computed from ``term_norms`` are sharp.
+    ``params``: ``strength`` and ``field_strength``, defaulting in
+    ``SPIN_MODELS["random"]``.  Returns (hamiltonian, term_norms): every
+    kept pair carries a random two-factor hermitian of exactly the target
+    norm, so the decay norms computed from ``term_norms`` are sharp.
     """
+    v = SPIN_MODELS["random"].values(params)
+    strength, field_strength = v["strength"], v["field_strength"]
     g = ctx.graph
     s = ctx.local_dim
     h = np.zeros((ctx.dim, ctx.dim), dtype=np.complex128)
@@ -240,13 +246,14 @@ def _embed_pair(ctx: SpinContext, x: int, y: int, pair: np.ndarray) -> np.ndarra
     return np.einsum(*operands).reshape(ctx.dim, ctx.dim)
 
 
-def ising_chain(ctx: SpinContext, coupling: float = 1.0, transverse: float = 0.7):
+def ising_chain(ctx: SpinContext, **params):
     """Nearest-neighbor zz coupling with a transverse field.
 
-    Returns (hamiltonian, term_norms); local dimension must be 2.
+    ``params``: ``coupling`` and ``transverse``, defaulting in
+    ``SPIN_MODELS["ising"]``.  Returns (hamiltonian, term_norms).
     """
-    if ctx.local_dim != 2:
-        raise ValueError("the ising chain needs two-level sites")
+    v = SPIN_MODELS["ising"].require(params, ctx.local_dim)
+    coupling, transverse = v["coupling"], v["transverse"]
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     g = ctx.graph
@@ -262,6 +269,25 @@ def ising_chain(ctx: SpinContext, coupling: float = 1.0, transverse: float = 0.7
         if transverse:
             term_norms[(z,)] = abs(transverse)
     return h, term_norms
+
+
+def _two_level(v, local_dim):
+    if local_dim > 2:
+        yield "local_dim", "the ising chain needs two-level sites"
+
+
+# spin models: build(ctx, rng, alpha, values) -> (hamiltonian, term_norms),
+# check(values, local_dim) on a context with ``local_dim`` levels per site
+SPIN_MODELS = registry(
+    Entry(
+        "random", {"strength": (float, 0.8), "field_strength": (float, 0.5)},
+        build=lambda ctx, rng, alpha, v: random_spin_chain(ctx, rng, alpha, **v), noun="spin model",
+    ),
+    Entry(
+        "ising", {"coupling": (float, 1.0), "transverse": (float, 0.7)}, _two_level,
+        lambda ctx, rng, alpha, v: ising_chain(ctx, **v), "spin model",
+    ),
+)
 
 
 def commutator_series(

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import pathlib
 from importlib import resources
 
 import pytest
@@ -10,8 +11,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlab.cli import KINDS, OBSERVABLES, ConfigError, main, run_config, validate_config
+from lrlab.bounds import CURVE_FAMILIES
+from lrlab.cli import _CONFIG_MODELS, KINDS, OBSERVABLES, ConfigError, main, run_config, validate_config
+from lrlab.flow import GENERATORS, WEIGHT
 from lrlab.interactions import MODELS
+from lrlab.lattice import LATTICES
+from lrlab.lppl import CHAIN
+from lrlab.spin import SPIN, SPIN_MODELS
 
 
 def demo_cfg(kind):
@@ -456,9 +462,6 @@ def test_specs_the_builders_take_validate_and_run(kind, fn, tmp_path):
     assert status == 0
 
 
-LATTICE_KINDS = ("path", "ring", "square_patch", "square_torus")
-
-
 def registry_numbers(typ, value):
     """Values of a registry parameter type; a number keeps ``value``."""
     return st.just(value) if typ is float else st.just(value) | st.lists(st.just(value), max_size=6)
@@ -476,32 +479,62 @@ def observable_specs(draw):
     return {"kind": kind, **spec}
 
 
+often = st.sampled_from([True, True, True, False])
+
+
+def entry_values(draw, entry, base: dict, ints) -> dict:
+    """Most of ``entry``'s integer and number parameters: an integer drawn
+    from ``ints``, a number as 0, 1/2, 1 or 2 times its value in ``base``,
+    else its declared default."""
+    scale = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    out = {}
+    for key, (typ, default) in entry.params.items():
+        if typ in (int, float) and draw(often):
+            out[key] = draw(ints) if typ is int else draw(scale) * base.get(key, default)
+    return out
+
+
 @st.composite
 def registry_configs(draw):
-    """A demo config whose model, hopping, observables, lattice, field count,
-    chain size and spin model are drawn from what the registries declare."""
+    """A demo config with some of its sections redrawn from what the
+    registries declare: lattice, model, observables, hopping, field count,
+    weight, generators, chain and spin section."""
     kind = draw(st.sampled_from(KINDS))
     cfg = demo_cfg(kind)
-    if "lattice" in cfg:
-        cfg["lattice"] = {"kind": draw(st.sampled_from(LATTICE_KINDS)), "n": draw(st.integers(1, 5))}
-    numbers, often = (float, float | list[float]), st.sampled_from([True, True, True, False])
-    if "model" in cfg:
+    redraw = st.booleans()
+    if "lattice" in cfg and draw(redraw):
+        family = LATTICES[draw(st.sampled_from(list(LATTICES)))]
+        cfg["lattice"] = {"kind": family.name, **{k: draw(st.integers(0, 5)) for k in family.params}}
+    numbers = (float, float | list[float])
+    if "model" in cfg and draw(redraw):
         name = draw(st.sampled_from(list(MODELS)))
         cfg["model"] = {"name": name} | {
             key: draw(registry_numbers(typ, cfg["model"].get(key, 4.0 if default is None else default)))
             for key, (typ, default) in MODELS[name].params.items()
             if typ in numbers and draw(often)
         }
-    if kind == "lr-verify":
+    if kind == "lr-verify" and draw(redraw):
         cfg["observables"] = {"a": draw(observable_specs()), "b": draw(observable_specs())}
     if kind == "spectral-flow":
-        hop = MODELS["long_range_hopping"].params
-        cfg["hopping"] = {k: v for k, v in cfg["hopping"].items() if k in hop and draw(often)}
-        cfg["fields"] = [cfg["fields"][k % 4] for k in range(draw(st.integers(0, 6)))]
+        if draw(redraw):
+            hop = MODELS["long_range_hopping"].params
+            cfg["hopping"] = {k: v for k, v in cfg["hopping"].items() if k in hop and draw(often)}
+            cfg["fields"] = [cfg["fields"][k % 4] for k in range(draw(st.integers(0, 6)))]
+        if draw(redraw):
+            cfg["gap"] = entry_values(draw, WEIGHT, cfg["gap"], st.nothing())
+        if draw(redraw):
+            cfg["generators"] = draw(st.lists(st.sampled_from(list(GENERATORS)), max_size=2, unique=True))
+            if not draw(often):
+                del cfg["generators"]
     if kind == "lppl":
-        cfg["chain"].update(n=draw(st.integers(1, 8)), site=draw(st.integers(-1, 8)))
-    if kind == "spin-compare":
-        cfg["spin"].update(model=draw(st.sampled_from(["random", "ising"])), local_dim=draw(st.integers(1, 3)))
+        cfg["chain"] = entry_values(draw, CHAIN, cfg["chain"], st.integers(-1, 8))
+    if kind == "spin-compare" and draw(redraw):
+        spin_model = SPIN_MODELS[draw(st.sampled_from(list(SPIN_MODELS)))]
+        cfg["spin"] = {
+            "model": spin_model.name,
+            **entry_values(draw, SPIN, cfg["spin"], st.integers(1, 3)),
+            **entry_values(draw, spin_model, cfg["spin"], st.nothing()),
+        }
     return cfg
 
 
@@ -510,3 +543,49 @@ def registry_configs(draw):
 def test_registry_configs_give_findings_or_run(cfg, tmp_path_factory):
     if not validate_config(cfg):
         run_config(cfg, str(tmp_path_factory.mktemp("run")))
+
+
+def test_uncertified_curves_are_labelled(tmp_path):
+    _, paths = run_config(demo_cfg("lr-verify"), str(tmp_path / "plain"))
+    assert "uncertified" not in read_outputs(paths)[1]["certificate"]
+    cfg = demo_cfg("lr-verify")
+    cfg["curves"].append({"family": "stretched", "sigma": 0.75, "constant": 1.0})
+    _, paths = run_config(cfg, str(tmp_path / "stretched"))
+    _, summary, prov = read_outputs(paths)
+    assert summary["certificate"]["uncertified"] == ["stretched(sigma=0.75)"]
+    assert "stretched(sigma=0.75)" in prov["constants"]["curve_labels"]
+
+
+@pytest.mark.parametrize(
+    "chain,reason,supports",
+    [
+        # the distance-4 difference falls below the fit floor
+        ({"n": 5, "alpha_tb": 8}, "fewer than 3 usable distances for the tail fit", ["0", "1", "2", "3", "4"]),
+        # the empty state at energy 0 shares the window with the only orbital
+        ({"n": 1, "strength": 0.0, "base_field": 0.0}, "window covers the whole spectrum", []),
+    ],
+)
+def test_lppl_runs_that_cannot_measure_fail_with_their_reason(chain, reason, supports, tmp_path, capsys):
+    path = tmp_path / "chain.yaml"
+    path.write_text(yaml.safe_dump({"experiment": "lppl", "chain": chain}))
+    assert main(["validate", str(path)]) == 0
+    run_dir = tmp_path / "run"
+    assert main(["run", str(path), "-o", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "Traceback" not in err
+    paths = {k: str(run_dir / f"lppl-{k}.{ext}") for k, ext in
+             (("results", "csv"), ("summary", "json"), ("provenance", "json"))}
+    rows, summary, prov = read_outputs(paths)
+    assert [r["support"] for r in rows] == supports
+    assert summary["ok"] is False and summary.get("slope") is None
+    assert len(summary["findings"]) == 1 and reason in summary["findings"][0]
+    assert set(prov["constants"]["chain"]) == set(chain)  # only the keys the config set
+
+
+def test_readme_names_every_declared_entry_and_parameter():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    registries = (LATTICES, CURVE_FAMILIES, _CONFIG_MODELS, SPIN_MODELS, GENERATORS)
+    named = [e for reg in registries for e in reg.values()]
+    names = {e.name for e in named} | {k for e in (*named, CHAIN, SPIN, WEIGHT) for k in e.params}
+    assert sorted(n for n in names if f"`{n}`" not in readme) == []

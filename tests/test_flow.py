@@ -59,8 +59,6 @@ def test_weight_validation():
         WeightFunction(1.0, soft=1.0)
     with pytest.raises(ValueError):
         WeightFunction(1.0, soft=-0.1)
-    with pytest.raises(ValueError):
-        build_weight_spectrum(1.0, 0.5, shape="boxcar")
     # a degenerate annihilation window is allowed
     w = WeightFunction(1.0, 0.0)
     assert w.soft == 0.0 and w.time_scale == 0.5

@@ -107,7 +107,7 @@ def test_interpolation_is_linear_and_exact_at_endpoints(ctx5):
     d = m.interaction.derivative(0.3)
     assert d.term_norm((0, 1)) == pytest.approx(1.0)
     # norm path is convex, so the time sup sits at an endpoint
-    val = time_sup_norm(m.interaction, 2.0, 0, grid_points=11)
+    val = time_sup_norm(m.interaction, 2.0, 0)
     assert val == pytest.approx(interaction_norm(phi_b, 2.0))
 
 
